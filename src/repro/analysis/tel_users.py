@@ -151,11 +151,14 @@ def fields_shared_ccdfs(dataset: CrawlDataset) -> FieldsSharedCCDFs:
         ],
         dtype=np.int64,
     )
-    if len(all_counts) == 0 or len(tel_counts) == 0:
-        raise ValueError("dataset has no profiles (or no tel-users) to compare")
+    if len(all_counts) == 0:
+        raise ValueError("dataset has no profiles to compare")
+    # A small crawl may reach no tel-user at all (~0.26% of users): the
+    # tel curve is then empty and its shares read n/a.
+    no_tel = EmpiricalCCDF(np.empty(0), np.empty(0))
     return FieldsSharedCCDFs(
         all_users=ccdf(all_counts),
-        tel_users=ccdf(tel_counts),
+        tel_users=ccdf(tel_counts) if len(tel_counts) else no_tel,
         all_counts=all_counts,
         tel_counts=tel_counts,
     )

@@ -2,12 +2,19 @@
 
 from .compare import Comparison, compare_results
 from .paper_tables import GooglePlusPaper, OSNTopologyRow, TABLE4_ROWS
-from .pipeline import MeasurementStudy, run_study, StudyConfig, StudyResults
+from .pipeline import (
+    CrawlCoverageError,
+    MeasurementStudy,
+    run_study,
+    StudyConfig,
+    StudyResults,
+)
 from .validation import CrawlValidation, validate_crawl
 
 __all__ = [
     "Comparison",
     "compare_results",
+    "CrawlCoverageError",
     "GooglePlusPaper",
     "MeasurementStudy",
     "OSNTopologyRow",

@@ -80,6 +80,31 @@ from repro.synth.countries import TOP10_CODES
 from repro.synth.world import build_world, SyntheticWorld, WorldConfig
 
 
+#: A study's crawl must fetch at least this share of its page budget
+#: (``n_users * crawl_fraction``) before any analysis runs.
+MIN_CRAWL_COVERAGE = 0.5
+
+
+class CrawlCoverageError(RuntimeError):
+    """The crawl fetched too few pages for the analyses to mean anything."""
+
+
+def check_crawl_coverage(
+    dataset: CrawlDataset, seed_user: int, budget: int
+) -> None:
+    """Raise :class:`CrawlCoverageError` unless the crawl fetched at
+    least :data:`MIN_CRAWL_COVERAGE` of its ``budget`` of pages."""
+    fetched = dataset.n_profiles
+    if fetched >= MIN_CRAWL_COVERAGE * budget:
+        return
+    frontier = max(0, dataset.stats.discovered - fetched)
+    raise CrawlCoverageError(
+        f"crawl from seed user {seed_user} fetched {fetched} of {budget} "
+        f"pages (coverage floor {MIN_CRAWL_COVERAGE:.0%}) and left "
+        f"{frontier} users in its frontier"
+    )
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """End-to-end study configuration."""
@@ -156,6 +181,9 @@ class MeasurementStudy:
                 self._world = build_world(self.config.world_config())
         return self._world
 
+    def _page_budget(self, world: SyntheticWorld) -> int:
+        return int(world.n_users * min(1.0, self.config.crawl_fraction))
+
     def crawl(self, hooks=None) -> CrawlDataset:
         """Run the bidirectional BFS crawl over the world's front end.
 
@@ -166,7 +194,7 @@ class MeasurementStudy:
         world = self.world
         max_pages = None
         if self.config.crawl_fraction < 1.0:
-            max_pages = int(world.n_users * self.config.crawl_fraction)
+            max_pages = self._page_budget(world)
         crawler = BidirectionalBFSCrawler(
             world.frontend(),
             CrawlConfig(n_machines=self.config.n_machines, max_pages=max_pages),
@@ -182,11 +210,19 @@ class MeasurementStudy:
         Each pipeline phase runs under its own span, so a run report can
         show where wall time (and, for the crawl, virtual time) went.
         ``hooks`` is forwarded to :meth:`crawl` (ignored with a dataset).
+
+        A crawl of this study's world must pass the coverage floor
+        (:func:`check_crawl_coverage`) before any analysis runs; a
+        foreign dataset (no world built) is taken as it is.
         """
         config = self.config
         if dataset is None:
             dataset = self.crawl(hooks=hooks)
         world = self._world  # populated by .crawl(); None for foreign datasets
+        if world is not None:
+            check_crawl_coverage(
+                dataset, world.seed_user_id(), self._page_budget(world)
+            )
         with trace.span("study.freeze_graph"):
             graph = dataset.to_csr()
         with trace.span("study.geo_index"):

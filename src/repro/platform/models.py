@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field as dataclass_field
+from types import MappingProxyType
 from typing import Any
 
 from .fields import COUNTABLE_FIELD_KEYS, FIELDS_BY_KEY
@@ -214,3 +215,41 @@ class UserProfile:
         if places:
             return places[-1]
         return None
+
+
+class ProfileSnapshot(UserProfile):
+    """A read-only copy of a profile whose truth lives elsewhere.
+
+    The service hands these out for base users it keeps as columns: a
+    write to the copy could never reach a page, so every write raises
+    ``TypeError`` instead of being lost.  It compares equal to a
+    :class:`UserProfile` with the same content; ``copy.copy`` and
+    pickling yield a plain, writable :class:`UserProfile`.
+    """
+
+    def __init__(self, profile: UserProfile) -> None:
+        self.__dict__.update(
+            vars(profile), fields=MappingProxyType(profile.fields)
+        )
+
+    def _read_only(self, *args: Any, **kwargs: Any) -> None:
+        raise TypeError(
+            f"profile {self.user_id} is a read-only snapshot; write through "
+            "GooglePlusService.update_field / set_lists_public"
+        )
+
+    __setattr__ = __delattr__ = set_field = _read_only
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, UserProfile):
+            return NotImplemented
+        return (self.user_id, self.name, self.fields, self.lists_public) == (
+            other.user_id, other.name, other.fields, other.lists_public
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        return UserProfile, (
+            self.user_id, self.name, dict(self.fields), self.lists_public
+        )

@@ -6,33 +6,51 @@ and whitelist, follower tracking, per-field privacy enforcement, and the
 public profile pages the crawler scrapes. A lightweight content layer
 (posts with circle-scoped visibility, reshares and +1s) rounds out the
 platform description of Section 2.1.
+
+State lives in two layers (``docs/storage.md``):
+
+* the **base world** — profile columns, circle CSR and cap-exempt flags
+  for users ``0 .. n-1`` (:class:`~repro.platform.columnar.ColumnarWorld`),
+  adopted in one call by :meth:`GooglePlusService.ingest_world` and
+  empty until then;
+* **copy-on-write overlays** — per user and per component, ordinary
+  objects: a :class:`UserProfile`, a :class:`CircleStore`, a follower
+  dict and a notification list. The first write to a base user's
+  component materialises that one component; users added by
+  :meth:`~GooglePlusService.register` live wholly in the overlays.
+
+Every read checks the user's overlay component first, then the columns.
+Reads never promote, so a crawl leaves the world columnar.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import Iterator
+from itertools import chain
+from typing import Any, Iterator
 
 import numpy as np
 
-from .gcpause import gc_paused
 from .circles import (
     CIRCLE_DISPLAY_LIMIT,
     CircleStore,
     DEFAULT_CIRCLE,
-    OUT_CIRCLE_LIMIT,
 )
+from .columnar import ColumnarCircles, ColumnarProfileStore, ColumnarWorld
 from .errors import (
     AlreadyRegisteredError,
-    CircleLimitError,
     SignupClosedError,
     UnknownUserError,
 )
 from .http import STATUS_NOT_FOUND, STATUS_OK
-from .models import UserProfile
-from .pages import ProfilePage, truncate_list
+from .models import ProfileSnapshot, UserProfile
+from .pages import CircleListView, ProfilePage, truncate_list
 from .privacy import FieldPrivacy, Visibility
+
+#: Bound on the cache of base owners' membership sets behind
+#: :meth:`GooglePlusService.in_circles`; one entry costs O(out-degree),
+#: so the cache is kept far below the world size.
+_MEMBER_SET_CACHE = 16_384
 
 
 @dataclass(frozen=True)
@@ -40,10 +58,9 @@ class MutationEvent:
     """One state change a subscriber (e.g. a page cache) must react to.
 
     Kinds: ``circle_add`` / ``circle_remove`` (``user_id`` acts on
-    ``target_id``), ``bulk_edges`` (a batch ingest; ids unenumerated),
-    ``profile`` (a field or lists_public change on ``user_id``),
-    ``post`` (``user_id`` published) and ``plus_one`` (``target_id`` is
-    the post id).
+    ``target_id``), ``profile`` (a field or lists_public change on
+    ``user_id``), ``post`` (``user_id`` published) and ``plus_one``
+    (``target_id`` is the post id).
     """
 
     kind: str
@@ -80,23 +97,8 @@ class Post:
     reshared_from: int | None = None
 
 
-@dataclass
-class _Account:
-    """Internal per-user record: profile, circles, and follower index."""
-
-    profile: UserProfile
-    circles: CircleStore
-    followers: dict[int, None] = field(default_factory=dict)
-    notifications: list[Notification] = field(default_factory=list)
-
-
 class GooglePlusService:
     """In-process simulation of the Google+ social networking service."""
-
-    #: Which backing store implements the service state; the columnar
-    #: subclass overrides this (``WorldConfig.store`` selects between
-    #: them — see docs/storage.md).
-    backend = "dict"
 
     def __init__(
         self,
@@ -105,7 +107,14 @@ class GooglePlusService:
     ):
         if circle_display_limit < 1:
             raise ValueError("circle display limit must be positive")
-        self._accounts: dict[int, _Account] = {}
+        self._base = ColumnarWorld.empty()
+        self._profiles: dict[int, UserProfile] = {}
+        self._circles: dict[int, CircleStore] = {}
+        self._followers: dict[int, dict[int, None]] = {}
+        self._notifications: dict[int, list[Notification]] = {}
+        #: Users created by :meth:`register`, in signup order.
+        self._registered: list[int] = []
+        self._member_sets: dict[int, frozenset] = {}
         self._posts: dict[int, Post] = {}
         self._next_post_id = 1
         self.open_signup = open_signup
@@ -140,85 +149,196 @@ class GooglePlusService:
         is already a member is required, mirroring the invitation-viral
         growth phase described in Section 2.1.
         """
-        if profile.user_id in self._accounts:
-            raise AlreadyRegisteredError(profile.user_id)
+        user_id = profile.user_id
+        if user_id in self:
+            raise AlreadyRegisteredError(user_id)
         if not self.open_signup:
             if invited_by is None:
                 raise SignupClosedError(
                     "signups are invitation-only during the field trial"
                 )
-            if invited_by not in self._accounts:
-                raise UnknownUserError(invited_by)
-        store = CircleStore(profile.user_id, exempt_from_limit=exempt_from_circle_limit)
+            self._require(invited_by)
+        store = CircleStore(user_id, exempt_from_limit=exempt_from_circle_limit)
         store.create_circle(DEFAULT_CIRCLE)
-        self._accounts[profile.user_id] = _Account(profile=profile, circles=store)
+        self._profiles[user_id] = profile
+        self._circles[user_id] = store
+        self._followers[user_id] = {}
+        self._notifications[user_id] = []
+        self._registered.append(user_id)
 
-    def register_bulk(
+    def ingest_world(
         self,
-        profiles,
+        profiles: ColumnarProfileStore,
+        sources: np.ndarray,
+        targets: np.ndarray,
+        circle_labels: tuple[str, ...],
+        label_codes: np.ndarray,
         exempt_ids=(),
-        invited_by=None,
     ) -> int:
-        """Create many accounts in one call; returns how many were created.
+        """Adopt a bulk-generated world as the base: profile columns plus
+        an edge batch, state-identical to registering every profile and
+        then calling :meth:`add_to_circle` once per edge, in order
+        (``sources[i]`` adds ``targets[i]`` to the circle named
+        ``circle_labels[label_codes[i]]``).  ``exempt_ids`` names the
+        users whitelisted past the out-circle cap.  Returns the link
+        count.
 
-        State-identical to calling :meth:`register` once per profile in
-        order: same accounts, same iteration order, same errors at the
-        same profile. ``exempt_ids`` is the set of user ids whitelisted
-        past the out-circle cap (ids not in ``profiles`` are ignored);
-        ``invited_by`` aligns with ``profiles`` and is required, as in
-        the scalar path, while signup is invitation-only. The batch form
-        hoists the signup-phase branching out of the per-account work
-        and builds each account's stores directly.
+        Validation happens before any state changes: unknown users,
+        self-edges, mismatched lengths and label codes outside
+        ``circle_labels`` raise, and so does a non-exempt owner with more
+        than :data:`~repro.platform.circles.OUT_CIRCLE_LIMIT` contacts.
         """
-        accounts = self._accounts
-        exempt = frozenset(int(u) for u in exempt_ids)
-        open_signup = self.open_signup
-        inviters = repeat(None) if invited_by is None else invited_by
-        created = 0
-        with gc_paused():
-            for profile, inviter in zip(profiles, inviters):
-                user_id = profile.user_id
-                if user_id in accounts:
-                    raise AlreadyRegisteredError(user_id)
-                if not open_signup:
-                    if inviter is None:
-                        raise SignupClosedError(
-                            "signups are invitation-only during the field trial"
-                        )
-                    if inviter not in accounts:
-                        raise UnknownUserError(inviter)
-                accounts[user_id] = _Account(
-                    profile=profile,
-                    circles=CircleStore(
-                        user_id,
-                        exempt_from_limit=user_id in exempt,
-                        members_by_circle={DEFAULT_CIRCLE: {}},
-                    ),
+        if len(self):
+            raise ValueError("ingest_world must run on an empty service")
+        n = profiles.n
+        exempt = np.zeros(n, dtype=bool)
+        ids = [int(u) for u in exempt_ids if 0 <= int(u) < n]
+        if ids:
+            exempt[ids] = True
+        src = np.asarray(sources, dtype=np.int64)
+        dst = np.asarray(targets, dtype=np.int64)
+        codes = np.asarray(label_codes)
+        if src.ndim != 1 or dst.shape != src.shape or codes.shape != src.shape:
+            raise ValueError("sources, targets and label codes must have equal length")
+        if len(src):
+            lo = min(int(src.min()), int(dst.min()))
+            hi = max(int(src.max()), int(dst.max()))
+            if lo < 0 or hi >= n:
+                raise UnknownUserError(lo if lo < 0 else hi)
+            if bool((src == dst).any()):
+                raise ValueError(
+                    "users cannot add themselves to their own circles"
                 )
-                created += 1
-        return created
+            if int(codes.min()) < 0 or int(codes.max()) >= len(circle_labels):
+                raise ValueError("label codes out of label range")
+        circles = ColumnarCircles.build(
+            n, src, dst, codes, tuple(circle_labels), exempt
+        )
+        self._base = ColumnarWorld(profiles, circles, exempt)
+        self._member_sets.clear()
+        return int(len(circles.in_sources))
+
+    def columns(self) -> ColumnarWorld:
+        """The base world (benchmarks, spill, inspection)."""
+        return self._base
 
     def enable_open_signup(self) -> None:
         """End the field trial: anyone may sign up (September 20th, 2011)."""
         self.open_signup = True
 
-    def __contains__(self, user_id: int) -> bool:
-        return user_id in self._accounts
+    def __contains__(self, user_id: object) -> bool:
+        if not isinstance(user_id, (int, np.integer)):
+            return False
+        return 0 <= user_id < self._base.n or user_id in self._profiles
 
     def __len__(self) -> int:
-        return len(self._accounts)
+        return self._base.n + len(self._registered)
 
     def user_ids(self) -> Iterator[int]:
-        return iter(self._accounts)
+        return chain(range(self._base.n), self._registered)
+
+    def _check_base(self, user_id: int) -> None:
+        """Raise unless ``user_id`` is a base user (overlay lookups missed)."""
+        if not 0 <= user_id < self._base.n:
+            raise UnknownUserError(user_id)
+
+    def _require(self, user_id: int) -> None:
+        if user_id not in self:
+            raise UnknownUserError(user_id)
+
+    # -- copy-on-write promotion -------------------------------------------
+
+    def _promote_profile(self, user_id: int) -> UserProfile:
+        profile = self._profiles.get(user_id)
+        if profile is None:
+            self._check_base(user_id)
+            profile = self._base.profiles.materialize_profile(user_id)
+            self._profiles[user_id] = profile
+        return profile
+
+    def _promote_circles(self, user_id: int) -> CircleStore:
+        store = self._circles.get(user_id)
+        if store is None:
+            self._check_base(user_id)
+            store = self._base.circles.materialize_store(
+                user_id, bool(self._base.exempt[user_id])
+            )
+            self._circles[user_id] = store
+            self._member_sets.pop(user_id, None)
+        return store
+
+    def _promote_followers(self, user_id: int) -> dict[int, None]:
+        followers = self._followers.get(user_id)
+        if followers is None:
+            self._check_base(user_id)
+            followers = dict.fromkeys(self._base.circles.in_slice(user_id).tolist())
+            self._followers[user_id] = followers
+        return followers
+
+    def _promote_notifications(self, user_id: int) -> list[Notification]:
+        notes = self._notifications.get(user_id)
+        if notes is None:
+            self._check_base(user_id)
+            notes = self._base_notifications(user_id)
+            self._notifications[user_id] = notes
+        return notes
+
+    def _base_notifications(self, user_id: int) -> list[Notification]:
+        """A base user's feed: one ``added_to_circle`` per incoming link,
+        in link order."""
+        return [
+            Notification(kind="added_to_circle", actor_id=actor)
+            for actor in self._base.circles.in_slice(user_id).tolist()
+        ]
+
+    # -- profile reads --------------------------------------------------------
 
     def profile(self, user_id: int) -> UserProfile:
-        return self._account(user_id).profile
+        """The user's profile: the live overlay object, or — for a base
+        user never written — a read-only :class:`ProfileSnapshot`
+        materialised from the columns, which raises on any write.
 
-    def _account(self, user_id: int) -> _Account:
-        try:
-            return self._accounts[user_id]
-        except KeyError:
-            raise UnknownUserError(user_id) from None
+        Write through :meth:`update_field` / :meth:`set_lists_public`.
+        """
+        profile = self._profiles.get(user_id)
+        if profile is not None:
+            return profile
+        self._check_base(user_id)
+        return ProfileSnapshot(self._base.profiles.materialize_profile(user_id))
+
+    def name_of(self, user_id: int) -> str:
+        profile = self._profiles.get(user_id)
+        if profile is not None:
+            return profile.name
+        self._check_base(user_id)
+        return self._base.profiles.name_of(user_id)
+
+    def lists_public(self, user_id: int) -> bool:
+        """Whether the user shows their circle lists on the profile page."""
+        profile = self._profiles.get(user_id)
+        if profile is not None:
+            return profile.lists_public
+        self._check_base(user_id)
+        return bool(self._base.profiles.lists_public[user_id])
+
+    def field_privacies(self, user_id: int) -> list[tuple[str, FieldPrivacy]]:
+        """The user's ``(field key, privacy)`` pairs, in page order."""
+        profile = self._profiles.get(user_id)
+        if profile is not None:
+            return [(key, entry.privacy) for key, entry in profile.fields.items()]
+        self._check_base(user_id)
+        return [
+            (key, column.privacies[code])
+            for key, column, code in self._base.profiles.coded_fields(user_id)
+        ]
+
+    def field_value(self, user_id: int, key: str) -> Any:
+        """The value of a field the user carries (no privacy check)."""
+        profile = self._profiles.get(user_id)
+        if profile is not None:
+            return profile.fields[key].value
+        self._check_base(user_id)
+        return self._base.profiles.columns[key].value(user_id)
 
     # -- circles / social links --------------------------------------------
 
@@ -229,14 +349,14 @@ class GooglePlusService:
 
         Returns True when a new directed social link was created.
         """
-        account = self._account(user_id)
-        target = self._account(target_id)
-        is_new_link = account.circles.add(target_id, circle)
+        self._require(user_id)
+        self._require(target_id)
+        is_new_link = self._promote_circles(user_id).add(target_id, circle)
         if is_new_link:
-            target.followers[user_id] = None
+            self._promote_followers(target_id)[user_id] = None
             # Section 2.1: the added user is notified (circle name stays
             # private — only the fact of the add is revealed).
-            target.notifications.append(
+            self._promote_notifications(target_id).append(
                 Notification(kind="added_to_circle", actor_id=user_id)
             )
         # Even a non-link add (an existing contact joining another circle)
@@ -244,285 +364,91 @@ class GooglePlusService:
         self._notify("circle_add", user_id, target_id)
         return is_new_link
 
-    def add_edges_bulk(
-        self,
-        sources,
-        targets,
-        circles=None,
-        *,
-        circle_index=None,
-    ) -> int:
-        """Plant many directed links in one call; returns new-link count.
-
-        On success the service state is identical to calling
-        :meth:`add_to_circle` once per ``(sources[i], targets[i],
-        circles[i])`` in order — including every insertion order the
-        crawl depends on: each owner's circle membership and flattened
-        contact list, each target's follower list, and the notification
-        feeds. Instead of 2N dict lookups per edge, the batch is sorted
-        once per side and each account's dicts are built with
-        ``dict.fromkeys`` over contiguous, originally-ordered slices.
-
-        ``circles`` may be a sequence of circle names (one per edge) or
-        ``None`` for :data:`DEFAULT_CIRCLE` throughout; alternatively
-        ``circle_index=(labels, index_array)`` names each edge's circle
-        as ``labels[index_array[i]]`` without materializing a per-edge
-        string list. Validation is batched: unknown users and self-edges
-        fail up front with nothing mutated, and the out-circle cap is
-        checked per owner before that owner's circles are touched (the
-        scalar path raises at the exact offending edge instead; a batch
-        that succeeds is unaffected).
-        """
-        # The ingest allocates millions of dict entries in one burst;
-        # pausing cyclic GC for the duration avoids repeated whole-heap
-        # collections triggered by allocation thresholds.
-        with gc_paused():
-            created = self._add_edges_bulk(sources, targets, circles, circle_index)
-        if created:
-            self._notify("bulk_edges", -1)
-        return created
-
-    def _add_edges_bulk(self, sources, targets, circles, circle_index) -> int:
-        src = np.asarray(sources, dtype=np.int64)
-        dst = np.asarray(targets, dtype=np.int64)
-        if src.ndim != 1 or dst.shape != src.shape:
-            raise ValueError("sources and targets must have equal length")
-        m = len(src)
-        if circles is not None and circle_index is not None:
-            raise ValueError("pass either circles or circle_index, not both")
-        if circles is not None and len(circles) != m:
-            raise ValueError("circles must have one entry per edge")
-        if m == 0:
-            return 0
-        accounts = self._accounts
-        ids = np.concatenate((src, dst))
-        top = max(accounts) if accounts else -1
-        lo, hi = int(ids.min()), int(ids.max())
-        if lo < 0 or hi > top:
-            raise UnknownUserError(lo if lo < 0 else hi)
-        known = np.zeros(top + 1, dtype=bool)
-        known[np.fromiter(accounts.keys(), dtype=np.int64, count=len(accounts))] = True
-        missing = np.flatnonzero(~known[ids])
-        if len(missing):
-            raise UnknownUserError(int(ids[missing[0]]))
-        if bool((src == dst).any()):
-            raise ValueError("users cannot add themselves to their own circles")
-        if circle_index is not None:
-            label_seq, index_arr = circle_index
-            labels = [str(name) for name in label_seq]
-            cidx = np.asarray(index_arr, dtype=np.int64)
-            if cidx.shape != src.shape:
-                raise ValueError("circle_index array must have one entry per edge")
-            if len(cidx) and (
-                int(cidx.min()) < 0 or int(cidx.max()) >= len(labels)
-            ):
-                raise ValueError("circle_index entries out of label range")
-        elif circles is None:
-            labels = [DEFAULT_CIRCLE]
-            cidx = np.zeros(m, dtype=np.int64)
-        else:
-            labels = list(dict.fromkeys(circles))
-            label_index = {name: i for i, name in enumerate(labels)}
-            cidx = np.fromiter(
-                map(label_index.__getitem__, circles), dtype=np.int64, count=m
-            )
-        n_labels = len(labels)
-        if top * n_labels + n_labels < 2**31:
-            # User ids (and the owner*n_labels+circle group keys) fit in
-            # int32: the stable radix argsorts below run half the passes.
-            src = src.astype(np.int32)
-            dst = dst.astype(np.int32)
-            cidx = cidx.astype(np.int32)
-
-        # Owner side. Two stable sorts: by owner (original edge order per
-        # owner → all_members / new-link flags) and by (owner, circle)
-        # (contiguous per-circle member slices, original order within).
-        # Everything sliced inside the loop is converted to plain lists
-        # up front — list slicing is far cheaper than per-slice tolist().
-        order_src = np.argsort(src, kind="stable")
-        s_by_src = src[order_src]
-        d_by_src = dst[order_src].tolist()
-        obounds = np.flatnonzero(np.diff(s_by_src)) + 1
-        ostarts = np.concatenate(([0], obounds)).tolist()
-        ostops = np.concatenate((obounds, [m])).tolist()
-        owners = s_by_src[np.concatenate(([0], obounds))].tolist()
-
-        if n_labels == 1:
-            order_grp, key_sorted = order_src, s_by_src
-        else:
-            group_key = src * n_labels + cidx
-            order_grp = np.argsort(group_key, kind="stable")
-            key_sorted = group_key[order_grp]
-        d_by_grp = dst[order_grp].tolist()
-        gbounds = np.flatnonzero(np.diff(key_sorted)) + 1
-        gstart_arr = np.concatenate(([0], gbounds))
-        gstarts = gstart_arr.tolist()
-        gstops = np.concatenate((gbounds, [m])).tolist()
-        gowners = (key_sorted[gstart_arr] // n_labels).tolist()
-        glabels = (key_sorted[gstart_arr] % n_labels).tolist()
-        #: original index of each group's first edge — per owner, groups
-        #: sorted by this value are in first-occurrence label order.
-        gfirst = order_grp[gstart_arr].tolist()
-
-        #: new-link flag per edge, in owner-sorted order.
-        new_by_src = np.ones(m, dtype=bool)
-        limit = OUT_CIRCLE_LIMIT
-        n_groups = len(gowners)
-        gp = 0  # group cursor: groups are sorted by owner, like owners
-        fromkeys = dict.fromkeys
-        for seg, owner in enumerate(owners):
-            a, b = ostarts[seg], ostops[seg]
-            store = accounts[owner].circles
-            all_members = store.all_members
-            members_seg = d_by_src[a:b]
-            distinct = fromkeys(members_seg)
-            if not all_members and b - a <= limit:
-                # Fresh store, segment within the cap: no violation is
-                # possible, exempt or not — the hot path for world gen.
-                if len(distinct) != b - a:
-                    # Duplicate (u, v) pairs inside the batch: only the
-                    # first occurrence forms the link.
-                    local: set[int] = set()
-                    for pos, v in enumerate(members_seg, start=a):
-                        if v in local:
-                            new_by_src[pos] = False
-                        else:
-                            local.add(v)
-                store.all_members = distinct
-            elif all_members:
-                fresh = [v for v in distinct if v not in all_members]
-                if (
-                    not store.exempt_from_limit
-                    and len(all_members) + len(fresh) > OUT_CIRCLE_LIMIT
-                ):
-                    raise CircleLimitError(owner, OUT_CIRCLE_LIMIT)
-                for pos, v in enumerate(members_seg, start=a):
-                    if v in all_members:
-                        new_by_src[pos] = False
-                    else:
-                        all_members[v] = None
-            else:
-                if (
-                    not store.exempt_from_limit
-                    and len(distinct) > OUT_CIRCLE_LIMIT
-                ):
-                    raise CircleLimitError(owner, OUT_CIRCLE_LIMIT)
-                if len(distinct) != len(members_seg):
-                    local2: set[int] = set()
-                    for pos, v in enumerate(members_seg, start=a):
-                        if v in local2:
-                            new_by_src[pos] = False
-                        else:
-                            local2.add(v)
-                store.all_members = distinct
-
-            # Circle sub-dicts for this owner: its groups are contiguous
-            # at the cursor. Visiting them by their first edge's original
-            # position yields first-occurrence label order, so circles are
-            # created exactly when the per-edge path would have created
-            # them (order across owners is free).
-            g0 = gp
-            while gp < n_groups and gowners[gp] == owner:
-                gp += 1
-            by_circle = store.members_by_circle
-            span = (
-                range(g0, gp)
-                if gp - g0 == 1
-                else sorted(range(g0, gp), key=gfirst.__getitem__)
-            )
-            for g in span:
-                name = labels[glabels[g]]
-                chunk = fromkeys(d_by_grp[gstarts[g]:gstops[g]])
-                existing = by_circle.get(name)
-                if existing:
-                    existing.update(chunk)
-                else:
-                    by_circle[name] = chunk
-
-        # Target side: follower lists and notifications, for new links
-        # only, in original edge order per target.
-        new_links = int(new_by_src.sum())
-        if new_links:
-            if new_links == m:
-                sub_src, sub_dst = src, dst
-            else:
-                new_orig = np.empty(m, dtype=bool)
-                new_orig[order_src] = new_by_src
-                sel = np.flatnonzero(new_orig)
-                sub_src, sub_dst = src[sel], dst[sel]
-            order_t = np.argsort(sub_dst, kind="stable")
-            t_sorted = sub_dst[order_t]
-            actor_list = sub_src[order_t].tolist()
-            tbounds = np.flatnonzero(np.diff(t_sorted)) + 1
-            tstart_arr = np.concatenate(([0], tbounds))
-            tstarts = tstart_arr.tolist()
-            tstops = np.concatenate((tbounds, [new_links])).tolist()
-            tids = t_sorted[tstart_arr].tolist()
-            # One cached Notification per actor: the dataclass is frozen
-            # and compares by value, so sharing instances is identical to
-            # constructing one per link. Every linking actor is an owner.
-            note_of = {
-                u: Notification(kind="added_to_circle", actor_id=u)
-                for u in owners
-            }
-            notes_all = list(map(note_of.__getitem__, actor_list))
-            for t, a, b in zip(tids, tstarts, tstops):
-                account = accounts[t]
-                chunk = dict.fromkeys(actor_list[a:b])
-                if account.followers:
-                    account.followers.update(chunk)
-                else:
-                    account.followers = chunk
-                account.notifications.extend(notes_all[a:b])
-        return new_links
-
     def remove_from_circle(
         self, user_id: int, target_id: int, circle: str | None = None
     ) -> bool:
         """Remove a contact from one circle (or all). True if the link died."""
-        account = self._account(user_id)
-        link_removed = account.circles.remove(target_id, circle)
+        link_removed = self._promote_circles(user_id).remove(target_id, circle)
         if link_removed:
-            self._account(target_id).followers.pop(user_id, None)
+            self._promote_followers(target_id).pop(user_id, None)
         self._notify("circle_remove", user_id, target_id)
         return link_removed
 
     def followees(self, user_id: int) -> list[int]:
         """Users ``user_id`` has in circles ("In user's circles")."""
-        return self._account(user_id).circles.flattened()
+        store = self._circles.get(user_id)
+        if store is not None:
+            return store.flattened()
+        self._check_base(user_id)
+        return self._base.circles.out_slice(user_id).tolist()
 
     def followers(self, user_id: int) -> list[int]:
         """Users that have ``user_id`` in circles ("Have user in circles")."""
-        return list(self._account(user_id).followers)
+        followers = self._followers.get(user_id)
+        if followers is not None:
+            return list(followers)
+        self._check_base(user_id)
+        return self._base.circles.in_slice(user_id).tolist()
 
     def out_degree(self, user_id: int) -> int:
-        return self._account(user_id).circles.out_degree()
+        store = self._circles.get(user_id)
+        if store is not None:
+            return store.out_degree()
+        self._check_base(user_id)
+        return self._base.circles.out_degree(user_id)
 
     def in_degree(self, user_id: int) -> int:
-        return len(self._account(user_id).followers)
+        followers = self._followers.get(user_id)
+        if followers is not None:
+            return len(followers)
+        self._check_base(user_id)
+        return self._base.circles.in_degree(user_id)
+
+    def circle_names(self, user_id: int) -> list[str]:
+        """The user's circle names, in creation order."""
+        store = self._circles.get(user_id)
+        if store is not None:
+            return store.circle_names()
+        self._check_base(user_id)
+        return self._base.circles.circle_names(user_id)
 
     def in_circles(self, owner_id: int, viewer_id: int) -> bool:
         """Whether the owner has the viewer in any circle (O(1))."""
-        return self._account(owner_id).circles.contains(viewer_id)
+        store = self._circles.get(owner_id)
+        if store is not None:
+            return store.contains(viewer_id)
+        self._check_base(owner_id)
+        members = self._member_sets.get(owner_id)
+        if members is None:
+            if len(self._member_sets) >= _MEMBER_SET_CACHE:
+                self._member_sets.clear()
+            members = frozenset(self._base.circles.out_slice(owner_id).tolist())
+            self._member_sets[owner_id] = members
+        return viewer_id in members
 
     def in_extended_circles(self, owner_id: int, viewer_id: int) -> bool:
         """Whether the viewer is in the owner's circles, or in the
         circles of any of the owner's contacts (the EXTENDED_CIRCLES
         reach; O(owner's out-degree))."""
-        owner = self._account(owner_id)
-        if owner.circles.contains(viewer_id):
+        if self.in_circles(owner_id, viewer_id):
             return True
         return any(
-            self._account(contact).circles.contains(viewer_id)
-            for contact in owner.circles.flattened()
+            self.in_circles(contact, viewer_id)
+            for contact in self.followees(owner_id)
         )
+
+    def _member_of(self, owner_id: int, viewer_id: int, circle: str) -> bool:
+        store = self._circles.get(owner_id)
+        if store is not None:
+            return store.member_of(viewer_id, circle)
+        self._check_base(owner_id)
+        return self._base.circles.member_of(owner_id, viewer_id, circle)
 
     def circles_containing(self, owner_id, viewer_id, names) -> tuple[str, ...]:
         """Which of the owner's named circles hold the viewer, in the
         order ``names`` lists them (for CUSTOM privacy classing)."""
-        circles = self._account(owner_id).circles
         return tuple(
-            name for name in names if circles.member_of(viewer_id, name)
+            name for name in names if self._member_of(owner_id, viewer_id, name)
         )
 
     # -- profile mutation ----------------------------------------------------
@@ -536,12 +462,10 @@ class GooglePlusService:
     ) -> None:
         """Set or replace one optional profile field, notifying subscribers.
 
-        This is the serving-side mutation path: unlike touching the
-        :class:`~repro.platform.models.UserProfile` directly, it fires a
-        ``profile`` :class:`MutationEvent` so caches drop the owner's
-        rendered pages.
+        This is the serving-side mutation path: it fires a ``profile``
+        :class:`MutationEvent` so caches drop the owner's rendered pages.
         """
-        profile = self._account(user_id).profile
+        profile = self._promote_profile(user_id)
         if privacy is None:
             profile.set_field(key, value)
         else:
@@ -550,7 +474,13 @@ class GooglePlusService:
 
     def set_lists_public(self, user_id: int, public: bool) -> None:
         """Toggle the owner's circle-list visibility, notifying subscribers."""
-        self._account(user_id).profile.lists_public = bool(public)
+        profile = self._profiles.get(user_id)
+        if profile is not None:
+            profile.lists_public = bool(public)
+        else:
+            # One flag per user: the column takes the write in place.
+            self._check_base(user_id)
+            self._base.profiles.lists_public[user_id] = bool(public)
         self._notify("profile", user_id)
 
     # -- privacy-aware profile views ----------------------------------------
@@ -559,13 +489,19 @@ class GooglePlusService:
         """Decide whether ``viewer_id`` (None = anonymous) may see a field."""
         if key == "name":
             return True
-        owner = self._account(owner_id)
-        entry = owner.profile.fields.get(key)
-        if entry is None:
+        privacy = dict(self.field_privacies(owner_id)).get(key)
+        if privacy is None:
             return False
+        return self._allows(owner_id, viewer_id, privacy)
+
+    def _allows(
+        self, owner_id: int, viewer_id: int | None, privacy: FieldPrivacy
+    ) -> bool:
+        """Whether a field with ``privacy`` on the owner's profile is
+        visible to ``viewer_id`` (None = anonymous)."""
         if viewer_id == owner_id:
             return True
-        visibility = entry.privacy.visibility
+        visibility = privacy.visibility
         if visibility is Visibility.PUBLIC:
             return True
         if viewer_id is None:
@@ -573,42 +509,68 @@ class GooglePlusService:
         if visibility is Visibility.ONLY_YOU:
             return False
         if visibility is Visibility.YOUR_CIRCLES:
-            return owner.circles.contains(viewer_id)
+            return self.in_circles(owner_id, viewer_id)
         if visibility is Visibility.EXTENDED_CIRCLES:
-            if owner.circles.contains(viewer_id):
-                return True
-            return any(
-                self._account(contact).circles.contains(viewer_id)
-                for contact in owner.circles.flattened()
-            )
+            return self.in_extended_circles(owner_id, viewer_id)
         # CUSTOM: the viewer must be in one of the named circles.
         return any(
-            owner.circles.member_of(viewer_id, name)
-            for name in entry.privacy.custom_circles
+            self._member_of(owner_id, viewer_id, name)
+            for name in privacy.custom_circles
         )
 
     def profile_page(self, user_id: int, viewer_id: int | None = None) -> ProfilePage:
-        """Render the profile page as seen by ``viewer_id`` (None = crawler)."""
-        account = self._account(user_id)
-        profile = account.profile
-        visible = {
-            key: entry.value
-            for key, entry in profile.fields.items()
-            if self.can_view_field(user_id, viewer_id, key)
-        }
+        """Render the profile page as seen by ``viewer_id`` (None = crawler).
+
+        A base user with no profile overlay is rendered straight from the
+        columns: privacy codes and values, no ``FieldValue`` per field.
+        """
+        profile = self._profiles.get(user_id)
+        if profile is not None:
+            visible = {
+                key: entry.value
+                for key, entry in profile.fields.items()
+                if self._allows(user_id, viewer_id, entry.privacy)
+            }
+            name, lists_public = profile.name, profile.lists_public
+        else:
+            self._check_base(user_id)
+            base = self._base.profiles
+            visible = {
+                key: column.value(user_id)
+                for key, column, code in base.coded_fields(user_id)
+                if self._allows(user_id, viewer_id, column.privacies[code])
+            }
+            name, lists_public = base.name_of(user_id), base.lists_public.item(user_id)
         in_list = out_list = None
-        if profile.lists_public or viewer_id == user_id:
-            in_list = truncate_list(list(account.followers), self.circle_display_limit)
-            out_list = truncate_list(
-                account.circles.flattened(), self.circle_display_limit
-            )
+        if viewer_id == user_id or lists_public:
+            in_list, out_list = self._circle_lists(user_id)
         return ProfilePage(
             user_id=user_id,
-            name=profile.name,
+            name=name,
             fields=visible,
             in_list=in_list,
             out_list=out_list,
         )
+
+    def _circle_lists(self, user_id: int) -> tuple[CircleListView, CircleListView]:
+        """The page's follower and contact lists, display-truncated.
+
+        Base lists materialise only the displayed prefix; the CSR indptr
+        supplies the true count the paper's lost-edge estimate reads.
+        """
+        limit = self.circle_display_limit
+        base = self._base.circles
+        followers = self._followers.get(user_id)
+        if followers is not None:
+            in_list = truncate_list(list(followers), limit)
+        else:
+            in_list = CircleListView(*base.in_prefix(user_id, limit))
+        store = self._circles.get(user_id)
+        if store is not None:
+            out_list = truncate_list(store.flattened(), limit)
+        else:
+            out_list = CircleListView(*base.out_prefix(user_id, limit))
+        return in_list, out_list
 
     # -- content layer (stream, +1, reshare) --------------------------------
 
@@ -620,9 +582,9 @@ class GooglePlusService:
         reshared_from: int | None = None,
     ) -> Post:
         """Publish a post to the author's stream, optionally circle-scoped."""
-        account = self._account(author_id)
+        self._require(author_id)
         if to_circles is not None:
-            unknown = to_circles - set(account.circles.circle_names())
+            unknown = to_circles - set(self.circle_names(author_id))
             if unknown:
                 raise ValueError(f"author has no circles named {sorted(unknown)}")
         if reshared_from is not None and reshared_from not in self._posts:
@@ -641,22 +603,26 @@ class GooglePlusService:
 
     def notifications(self, user_id: int, clear: bool = False) -> list[Notification]:
         """The user's notification feed (optionally consuming it)."""
-        account = self._account(user_id)
-        items = list(account.notifications)
+        notes = self._notifications.get(user_id)
+        if notes is None:
+            self._check_base(user_id)
+            items = self._base_notifications(user_id)
+        else:
+            items = list(notes)
         if clear:
-            account.notifications.clear()
+            self._notifications[user_id] = []
         return items
 
     def plus_one(self, user_id: int, post_id: int) -> None:
         """Record a +1: a public recommendation of a post."""
-        self._account(user_id)
+        self._require(user_id)
         try:
             post = self._posts[post_id]
         except KeyError:
             raise KeyError(f"unknown post id: {post_id}") from None
         if user_id not in post.plus_ones:
             post.plus_ones.add(user_id)
-            self._account(post.author_id).notifications.append(
+            self._promote_notifications(post.author_id).append(
                 Notification(kind="plus_one", actor_id=user_id, subject_id=post_id)
             )
             self._notify("plus_one", user_id, post_id)
@@ -670,9 +636,8 @@ class GooglePlusService:
             return False
         if viewer_id == post.author_id:
             return True
-        author = self._account(post.author_id)
         return any(
-            author.circles.member_of(viewer_id, name)
+            self._member_of(post.author_id, viewer_id, name)
             for name in post.to_circles
         )
 
@@ -702,6 +667,6 @@ class GooglePlusService:
             user_id = int(path[3:])
         except ValueError:
             return STATUS_NOT_FOUND, None
-        if user_id not in self._accounts:
+        if user_id not in self:
             return STATUS_NOT_FOUND, None
         return STATUS_OK, self.profile_page(user_id, viewer_id=viewer_id)

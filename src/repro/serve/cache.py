@@ -147,12 +147,12 @@ class ViewerClasser:
             return cached
         has_extended = False
         custom: set[str] = set()
-        for entry in self._service.profile(owner_id).fields.values():
-            visibility = entry.privacy.visibility
+        for _, privacy in self._service.field_privacies(owner_id):
+            visibility = privacy.visibility
             if visibility is Visibility.EXTENDED_CIRCLES:
                 has_extended = True
             elif visibility is Visibility.CUSTOM:
-                custom.update(entry.privacy.custom_circles)
+                custom.update(privacy.custom_circles)
         result = (has_extended, tuple(sorted(custom)))
         self._needs[owner_id] = result
         return result
@@ -248,10 +248,9 @@ def render_for_class(service, owner_id: int, class_key: tuple) -> ProfilePage:
     if class_key == SELF_CLASS:
         return service.profile_page(owner_id, viewer_id=owner_id)
     _, in_circles, in_extended, custom = class_key
-    profile = service.profile(owner_id)
     visible = {}
-    for key, entry in profile.fields.items():
-        visibility = entry.privacy.visibility
+    for key, privacy in service.field_privacies(owner_id):
+        visibility = privacy.visibility
         if visibility is Visibility.PUBLIC:
             show = True
         elif visibility is Visibility.YOUR_CIRCLES:
@@ -259,13 +258,13 @@ def render_for_class(service, owner_id: int, class_key: tuple) -> ProfilePage:
         elif visibility is Visibility.EXTENDED_CIRCLES:
             show = in_extended
         elif visibility is Visibility.CUSTOM:
-            show = any(name in custom for name in entry.privacy.custom_circles)
+            show = any(name in custom for name in privacy.custom_circles)
         else:  # ONLY_YOU
             show = False
         if show:
-            visible[key] = entry.value
+            visible[key] = service.field_value(owner_id, key)
     in_list = out_list = None
-    if profile.lists_public:
+    if service.lists_public(owner_id):
         in_list = truncate_list(
             service.followers(owner_id), service.circle_display_limit
         )
@@ -274,7 +273,7 @@ def render_for_class(service, owner_id: int, class_key: tuple) -> ProfilePage:
         )
     return ProfilePage(
         user_id=owner_id,
-        name=profile.name,
+        name=service.name_of(owner_id),
         fields=visible,
         in_list=in_list,
         out_list=out_list,
@@ -447,7 +446,7 @@ class PageCache:
                 # through the displayed lists: owners hiding them keep
                 # every member/anon entry valid — only the self page
                 # (lists always shown to the owner) must go.
-                lists_public = self._service.profile(owner_id).lists_public
+                lists_public = self._service.lists_public(owner_id)
                 self._invalidate_owner(
                     owner_id, reason="circle", self_only=not lists_public
                 )
@@ -455,12 +454,6 @@ class PageCache:
         elif kind == "profile":
             self._invalidate_owner(event.user_id, reason="profile", self_only=False)
             self._classer.drop_owner(event.user_id, needs=True)
-        elif kind == "bulk_edges":
-            dropped = len(self._entries)
-            self.clear()
-            if dropped:
-                self.invalidations += dropped
-                self._m_invalidations.inc(dropped, reason="bulk")
         # "post" / "plus_one": profile pages are unaffected.
 
     def clear(self) -> None:

@@ -216,7 +216,7 @@ class ServingStack:
         if self._name_index is None:
             index: dict[str, list[int]] = {}
             for user_id in sorted(self.service.user_ids()):
-                index.setdefault(self.service.profile(user_id).name, []).append(user_id)
+                index.setdefault(self.service.name_of(user_id), []).append(user_id)
             self._name_index = {name: tuple(ids) for name, ids in index.items()}
         return self._name_index
 
@@ -460,7 +460,7 @@ class LoadGenerator:
         if op == "stream":
             return "/stream"
         if op == "search":
-            name = self.stack.service.profile(self._pick_target(client)).name
+            name = self.stack.service.name_of(self._pick_target(client))
             return f"/search?q={name}"
         if op == "circle_edit":
             target = self._pick_target(client)

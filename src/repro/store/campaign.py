@@ -52,6 +52,7 @@ from repro.crawler.bfs import (
 from repro.crawler.dataset import CrawlDataset, profile_from_json
 from repro.crawler.dataset import profile_to_json as _profile_to_json
 from repro.obs.metrics import Registry, get_registry, log_buckets
+from repro.platform.columnar import check_store
 
 from . import checkpoint as ckpt
 from .atomio import StoreIO, publish_text
@@ -182,16 +183,22 @@ class CampaignConfig:
     #: World generation engine (``"reference"`` | ``"fast"``) — frozen so
     #: a resumed campaign rebuilds the identical world.
     engine: str = "reference"
-    #: Service backing store (``"dict"`` | ``"columnar"``).  Columnar is
-    #: what lets million-user campaigns fit in RAM (docs/storage.md);
-    #: both stores rebuild state-identical worlds from the same seed.
-    store: str = "dict"
+    #: Service backing store; ``"columnar"`` is the only one
+    #: (:attr:`repro.synth.config.WorldConfig.store`).
+    store: str = "columnar"
+
+    def __post_init__(self) -> None:
+        check_store(self.store)
 
     def to_json_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CampaignConfig":
+        if data.get("store") == "dict":
+            # Manifests written while the dict store existed: it built
+            # state-identical worlds, so the columnar store resumes them.
+            data = {**data, "store": "columnar"}
         return cls(**data)
 
     def crawl_config(self) -> CrawlConfig:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.platform.columnar import check_store
+
 
 @dataclass(frozen=True)
 class GraphGenConfig:
@@ -112,13 +114,11 @@ class WorldConfig:
     #: bit-identical — at a fraction of the time and memory. See
     #: ``docs/synth.md`` for the equivalence contract.
     engine: str = "reference"
-    #: Backing store of the built service. ``"dict"`` is the per-object
-    #: reference store; ``"columnar"`` is the struct-of-arrays store
-    #: (:mod:`repro.platform.columnar`) that holds profiles as interned
-    #: columns and circles as CSR arrays — state-identical behind the
-    #: same service API, and the only store that fits million-user
-    #: worlds in laptop RAM. See ``docs/storage.md``.
-    store: str = "dict"
+    #: Backing store of the built service.  ``"columnar"`` — profile
+    #: columns and circle CSR plus copy-on-write overlays
+    #: (``docs/storage.md``) — is the only store; the field stays so
+    #: configs that name it keep working.
+    store: str = "columnar"
 
     def __post_init__(self) -> None:
         if self.n_users < 200:
@@ -127,10 +127,7 @@ class WorldConfig:
             raise ValueError(
                 f"engine must be 'reference' or 'fast', got {self.engine!r}"
             )
-        if self.store not in ("dict", "columnar"):
-            raise ValueError(
-                f"store must be 'dict' or 'columnar', got {self.store!r}"
-            )
+        check_store(self.store)
         if not 0.0 <= self.field_trial_fraction <= 1.0:
             raise ValueError("field_trial_fraction must be in [0, 1]")
         if not 0.0 <= self.tel_user_rate < 1.0:

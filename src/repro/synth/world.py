@@ -8,30 +8,46 @@ and ablation benches can compare crawled measurements against the truth.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.obs import trace
-from repro.platform.columnar import (
-    ColumnarGooglePlusService,
-    ColumnarProfileStore,
-    ProfilesView,
-)
+from repro.platform.columnar import ColumnarProfileStore
 from repro.platform.gcpause import gc_paused
 from repro.platform.http import HttpFrontend, SimulatedClock
-from repro.platform.models import UserProfile
 from repro.platform.service import GooglePlusService
 
 from .config import WorldConfig
 from .fastgen import generate_graph_fast
-from .fastprofiles import build_profile_columns_fast, build_profiles_fast
+from .fastprofiles import build_profile_columns_fast
 from .graphgen import GeneratedGraph, generate_graph
 from .profiles import Population, build_profiles, generate_population
 
 #: Circle labels used when planting social links, to exercise named circles.
 _CIRCLE_LABELS = ("friends", "family", "colleagues", "following")
+
+
+class ProfilesView(Mapping):
+    """Read-only ``{user_id: profile}`` mapping over a service: each
+    lookup is :meth:`GooglePlusService.profile` (no object per user is
+    held; a base user's profile is a read-only snapshot)."""
+
+    def __init__(self, service: GooglePlusService):
+        self._service = service
+
+    def __getitem__(self, uid: int):
+        if uid not in self._service:
+            raise KeyError(uid)
+        return self._service.profile(uid)
+
+    def __iter__(self):
+        return self._service.user_ids()
+
+    def __len__(self) -> int:
+        return len(self._service)
 
 
 @dataclass
@@ -40,11 +56,8 @@ class SyntheticWorld:
 
     config: WorldConfig
     population: Population
-    #: ``{user_id: profile}`` ground truth — a plain dict of
-    #: :class:`UserProfile` under the dict store, a lazy
-    #: :class:`~repro.platform.columnar.ProfilesView` under the columnar
-    #: store (same mapping protocol, no object per user).
-    profiles: dict[int, UserProfile] | ProfilesView
+    #: ``{user_id: profile}`` ground truth, read from the service.
+    profiles: ProfilesView
     graph: GeneratedGraph
     service: GooglePlusService
     clock: SimulatedClock
@@ -82,38 +95,49 @@ class SyntheticWorld:
     def seed_user_id(self) -> int:
         """The crawl seed: the rank-2 global celebrity (Mark Zuckerberg).
 
-        The paper began its BFS at Mark Zuckerberg's profile; the world
-        guarantees a rank-2 global celebrity exists.
+        The paper began its BFS at Mark Zuckerberg's public profile.
+        Every user draws whether their circle lists are public, and a
+        crawl seeded at hidden lists fetches one page, so when the rank-2
+        celebrity hides them the seed walks on to ranks 3, 4, … and takes
+        the first global celebrity whose lists are public.
         """
-        for user_id, spec in self.population.celebrity_spec.items():
-            if spec.global_rank == 2:
+        by_rank = sorted(
+            (spec.global_rank, user_id)
+            for user_id, spec in self.population.celebrity_spec.items()
+            if spec.global_rank >= 2
+        )
+        for _, user_id in by_rank:
+            if self.service.lists_public(user_id):
                 return user_id
-        raise RuntimeError("world has no rank-2 global celebrity")
+        raise RuntimeError(
+            "no global celebrity of rank 2 or lower shows public circle "
+            "lists: the world has no crawlable seed"
+        )
 
 
-def _populate_service_columnar(
+def _ingest_service(
     world_config: WorldConfig,
     population: Population,
     profile_store: ColumnarProfileStore,
     graph: GeneratedGraph,
     rng: np.random.Generator,
-) -> ColumnarGooglePlusService:
-    """Columnar counterpart of :func:`_populate_service`.
+) -> GooglePlusService:
+    """A service holding the generated world as its columnar base.
 
-    Registration and edge planting collapse into one bulk ingest.  The
-    RNG draws of the dict path (inviter rolls, circle rolls) are kept in
-    the exact same order, so a seed builds the same world under either
-    store; the field-trial inviter validation is skipped because the
+    Registration and edge planting are one bulk ingest.  The inviter
+    rolls of the field-trial signup are still drawn, so the RNG stream —
+    and with it every later draw — is the one the per-account signup
+    consumed; the inviter check itself is skipped because the
     generator's inviters are valid by construction (each user is invited
     by an earlier trial user).
     """
-    service = ColumnarGooglePlusService(
+    service = GooglePlusService(
         open_signup=True,
         circle_display_limit=world_config.circle_display_limit,
     )
     n = population.n
     trial_count = max(1, int(round(world_config.field_trial_fraction * n)))
-    rng.integers(0, trial_count, size=n)  # the dict path's inviter rolls
+    rng.integers(0, trial_count, size=n)  # the field-trial inviter rolls
     circle_rolls = rng.integers(0, len(_CIRCLE_LABELS), size=graph.n_edges)
     # Narrow before ingest: holding the int64 draw alongside the CSR
     # build costs O(edges) for nothing.
@@ -129,93 +153,40 @@ def _populate_service_columnar(
     return service
 
 
-def _populate_service(
-    world_config: WorldConfig,
-    population: Population,
-    profiles: dict[int, UserProfile],
-    graph: GeneratedGraph,
-    rng: np.random.Generator,
-) -> GooglePlusService:
-    """Register accounts (field trial then open signup) and plant edges."""
-    service = GooglePlusService(
-        open_signup=True,
-        circle_display_limit=world_config.circle_display_limit,
-    )
-    n = population.n
-    trial_count = max(1, int(round(world_config.field_trial_fraction * n)))
-    exempt_ids = population.celebrity_spec
-    # Bootstrap account, then invitation-only field trial.
-    service.register(profiles[0], exempt_from_circle_limit=population.is_celebrity(0))
-    service.open_signup = False
-    inviter_rolls = rng.integers(0, trial_count, size=n)
-    inviters = (inviter_rolls[1:trial_count] % np.arange(1, trial_count)).tolist()
-    service.register_bulk(
-        (profiles[user_id] for user_id in range(1, trial_count)),
-        exempt_ids=exempt_ids,
-        invited_by=inviters,
-    )
-    # September 20th, 2011: open signup.
-    service.enable_open_signup()
-    service.register_bulk(
-        (profiles[user_id] for user_id in range(trial_count, n)),
-        exempt_ids=exempt_ids,
-    )
-    circle_rolls = rng.integers(0, len(_CIRCLE_LABELS), size=graph.n_edges)
-    # Bulk ingest (both engines): state-identical to the per-edge
-    # add_to_circle loop, minus 400k+ per-call validations.
-    service.add_edges_bulk(
-        graph.sources,
-        graph.targets,
-        circle_index=(_CIRCLE_LABELS, circle_rolls),
-    )
-    return service
-
-
 def build_world(config: WorldConfig | None = None) -> SyntheticWorld:
     """Generate a complete world from a config (or the calibrated default)."""
     config = config if config is not None else WorldConfig()
     rng = np.random.default_rng(config.seed)
     fast = config.engine == "fast"
-    columnar = config.store == "columnar"
     # One GC pause across the whole fast build: the stage-local pauses
     # nest inside it (gc_paused is re-entrant), so the collector sweeps
     # the finished world once instead of after every stage.
     pause = gc_paused() if fast else nullcontext()
     with trace.span(
-        "synth.build_world",
-        users=config.n_users,
-        engine=config.engine,
-        store=config.store,
+        "synth.build_world", users=config.n_users, engine=config.engine
     ), pause:
         with trace.span("synth.population"):
             population = generate_population(config, rng)
         with trace.span("synth.profiles"):
-            if fast and columnar:
-                # The memory-diet path: columns assembled directly, no
-                # UserProfile object ever exists for the base world.
+            if fast:
+                # Columns assembled directly: no UserProfile object ever
+                # exists for the base world.
                 profile_store = build_profile_columns_fast(population, config, rng)
-            elif fast:
-                profiles = build_profiles_fast(population, config, rng)
             else:
-                profiles = build_profiles(population, config, rng)
-                if columnar:
-                    profile_store = ColumnarProfileStore.from_profiles(profiles)
+                profile_store = ColumnarProfileStore.from_profiles(
+                    build_profiles(population, config, rng)
+                )
         with trace.span("synth.graphgen"):
             if fast:
                 graph = generate_graph_fast(population, config.graph, rng)
             else:
                 graph = generate_graph(population, config.graph, rng)
         with trace.span("synth.service"):
-            if columnar:
-                service = _populate_service_columnar(
-                    config, population, profile_store, graph, rng
-                )
-            else:
-                service = _populate_service(config, population, profiles, graph, rng)
+            service = _ingest_service(config, population, profile_store, graph, rng)
     return SyntheticWorld(
         config=config,
         population=population,
-        profiles=ProfilesView(service) if columnar else profiles,
+        profiles=ProfilesView(service),
         graph=graph,
         service=service,
         clock=SimulatedClock(),

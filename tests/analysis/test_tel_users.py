@@ -79,10 +79,20 @@ class TestFigure2:
         assert sorted(ccdfs.all_counts.tolist()) == [1, 3, 6]
         assert ccdfs.fraction_sharing_more_than(2, "all") == pytest.approx(2 / 3)
 
-    def test_empty_tel_users_rejected(self):
+    def test_empty_tel_users_give_empty_curve(self):
+        """A crawl that reaches no tel-user (small worlds do) still gets
+        Figure 2: the tel curve is empty and its shares are NaN."""
         dataset = hand_dataset()
         del dataset.profiles[1]
-        with pytest.raises(ValueError):
+        ccdfs = fields_shared_ccdfs(dataset)
+        assert len(ccdfs.tel_users.x) == 0
+        assert sorted(ccdfs.all_counts.tolist()) == [1, 3]
+        assert np.isnan(ccdfs.fraction_sharing_more_than(6, "tel"))
+
+    def test_no_profiles_rejected(self):
+        dataset = hand_dataset()
+        dataset.profiles.clear()
+        with pytest.raises(ValueError, match="no profiles"):
             fields_shared_ccdfs(dataset)
 
 

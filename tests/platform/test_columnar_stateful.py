@@ -1,17 +1,20 @@
-"""Stateful differential proof: the columnar store IS the dict store.
+"""Stateful differential proof: the column read path IS the overlay path.
 
-One hypothesis state machine drives a dict-backed
-:class:`GooglePlusService` and a columnar
-:class:`ColumnarGooglePlusService` seeded with the same world through
-identical randomized operation sequences — circle edits (including
-removals and never-member removals), field updates across every privacy
-level, list-visibility toggles, post-ingest registrations — and asserts
-after every step that every observable agrees: profile fields and
-privacy-rendered pages (byte-for-byte), ``circles_of`` / ``flattened``
-/ ``out_degree``, followers, and ``member_of``.
+One hypothesis state machine drives two :class:`GooglePlusService`
+instances holding the same world — one built through ``register`` plus
+one ``add_to_circle`` per edge (every user lives in the overlays), one
+adopted by ``ingest_world`` (every user read from the columns until a
+write promotes it) — through identical randomized operation sequences:
+circle edits (including removals and never-member removals), field
+updates across every privacy level, list-visibility toggles, post-ingest
+registrations.  After every step every observable must agree: profile
+fields and privacy-rendered pages (byte-for-byte), circle names and
+memberships, ``followees`` / ``out_degree``, followers and notification
+feeds.
 """
 
 import hypothesis.strategies as st
+import numpy as np
 from hypothesis import settings
 from hypothesis.stateful import (
     invariant,
@@ -19,10 +22,7 @@ from hypothesis.stateful import (
     RuleBasedStateMachine,
 )
 
-from repro.platform.columnar import (
-    ColumnarGooglePlusService,
-    ColumnarProfileStore,
-)
+from repro.platform.columnar import ColumnarProfileStore
 from repro.platform.models import UserProfile
 from repro.platform.privacy import (
     custom,
@@ -65,26 +65,23 @@ def base_profiles() -> dict[int, UserProfile]:
     return profiles
 
 
-def build_pair() -> tuple[GooglePlusService, ColumnarGooglePlusService]:
+def build_pair() -> tuple[GooglePlusService, GooglePlusService]:
+    """(overlay-built service, column-built service) of the same world."""
     profiles = base_profiles()
-    reference = GooglePlusService(open_signup=True)
+    overlay = GooglePlusService(open_signup=True)
     for uid in range(N_BASE):
-        reference.register(profiles[uid])
-    import numpy as np
-
-    sources = np.array([e[0] for e in BASE_EDGES])
-    targets = np.array([e[1] for e in BASE_EDGES])
-    labels = np.array([e[2] for e in BASE_EDGES], dtype=np.uint8)
-    reference.add_edges_bulk(sources, targets, circle_index=(CIRCLES, labels))
-    columnar = ColumnarGooglePlusService(open_signup=True)
+        overlay.register(profiles[uid])
+    for source, target, label in BASE_EDGES:
+        overlay.add_to_circle(source, target, CIRCLES[label])
+    columnar = GooglePlusService(open_signup=True)
     columnar.ingest_world(
         ColumnarProfileStore.from_profiles(base_profiles()),
-        sources,
-        targets,
+        np.array([e[0] for e in BASE_EDGES]),
+        np.array([e[1] for e in BASE_EDGES]),
         CIRCLES,
-        labels,
+        np.array([e[2] for e in BASE_EDGES], dtype=np.uint8),
     )
-    return reference, columnar
+    return overlay, columnar
 
 
 class ColumnarEquivalenceMachine(RuleBasedStateMachine):
@@ -131,6 +128,15 @@ class ColumnarEquivalenceMachine(RuleBasedStateMachine):
     def set_lists_public(self, u, public):
         self._both(lambda s: s.set_lists_public(u, public))
 
+    @rule(u=users, author=users)
+    def plus_one(self, u, author):
+        # Promotes the author's notification feed on the column side.
+        self._both(lambda s: s.plus_one(u, s.publish(author, "hi").post_id))
+
+    @rule(u=users)
+    def clear_notifications(self, u):
+        self._both(lambda s: s.notifications(u, clear=True))
+
     @rule()
     def register_new_user(self):
         uid = self.next_uid
@@ -141,19 +147,27 @@ class ColumnarEquivalenceMachine(RuleBasedStateMachine):
 
     @invariant()
     def circle_state_identical(self):
+        ref, col = self.reference, self.columnar
         for uid in range(self.next_uid):
-            ref = self.reference._account(uid).circles
-            col = self.columnar._account(uid).circles
-            assert ref.flattened() == col.flattened(), uid
-            assert ref.out_degree() == col.out_degree(), uid
+            assert ref.followees(uid) == col.followees(uid), uid
+            assert ref.out_degree(uid) == col.out_degree(uid), uid
+            names = ref.circle_names(uid)
+            assert names == col.circle_names(uid), uid
             for target in range(self.next_uid):
-                assert ref.circles_of(target) == col.circles_of(target)
-                assert ref.contains(target) == col.contains(target)
+                assert ref.circles_containing(
+                    uid, target, names
+                ) == col.circles_containing(uid, target, names), (uid, target)
+                assert ref.in_circles(uid, target) == col.in_circles(uid, target)
                 for circle in CIRCLES:
-                    assert ref.member_of(target, circle) == col.member_of(
-                        target, circle
-                    ), (uid, target, circle)
-            assert self.reference.followers(uid) == self.columnar.followers(uid)
+                    assert ref.circles_containing(
+                        uid, target, (circle,)
+                    ) == col.circles_containing(uid, target, (circle,)), (
+                        uid,
+                        target,
+                        circle,
+                    )
+            assert ref.followers(uid) == col.followers(uid), uid
+            assert ref.notifications(uid) == col.notifications(uid), uid
 
     @invariant()
     def rendered_pages_identical(self):

@@ -1,5 +1,7 @@
 """Tests for the Google+ service simulator."""
 
+import copy
+
 import pytest
 
 from repro.platform.errors import (
@@ -7,8 +9,11 @@ from repro.platform.errors import (
     SignupClosedError,
     UnknownUserError,
 )
+import numpy as np
+
+from repro.platform.columnar import ColumnarProfileStore
 from repro.platform.http import STATUS_NOT_FOUND, STATUS_OK
-from repro.platform.models import UserProfile
+from repro.platform.models import ProfileSnapshot, UserProfile
 from repro.platform.privacy import (
     custom,
     EXTENDED_CIRCLES,
@@ -168,6 +173,54 @@ class TestProfilePage:
     def test_invalid_display_limit(self):
         with pytest.raises(ValueError):
             GooglePlusService(circle_display_limit=0)
+
+
+class TestBaseUserProfile:
+    """A base user (held as columns) with no overlay yet."""
+
+    @pytest.fixture
+    def base(self) -> GooglePlusService:
+        owner = profile(0)
+        owner.set_field("occupation", "Engineer", PUBLIC)
+        svc = GooglePlusService(open_signup=True)
+        svc.ingest_world(
+            ColumnarProfileStore.from_profiles({0: owner, 1: profile(1)}),
+            np.array([0]),
+            np.array([1]),
+            ("friends",),
+            np.zeros(1, np.uint8),
+        )
+        return svc
+
+    def test_profile_is_a_read_only_snapshot(self, base):
+        snapshot = base.profile(0)
+        assert isinstance(snapshot, ProfileSnapshot)
+        assert snapshot == UserProfile(
+            user_id=0, name="User 0", fields=dict(snapshot.fields)
+        )
+        with pytest.raises(TypeError, match="read-only snapshot"):
+            snapshot.set_field("occupation", "Artist", PUBLIC)
+        with pytest.raises(TypeError, match="read-only snapshot"):
+            snapshot.lists_public = False
+        with pytest.raises(TypeError):
+            snapshot.fields["education"] = snapshot.fields["occupation"]
+        page = base.profile_page(0)
+        assert page.fields == {"occupation": "Engineer"}
+        assert page.out_list is not None
+
+    def test_copy_is_a_writable_profile(self, base):
+        writable = copy.copy(base.profile(0))
+        assert type(writable) is UserProfile
+        writable.set_field("occupation", "Artist", PUBLIC)
+        assert base.profile_page(0).fields == {"occupation": "Engineer"}
+
+    def test_writes_through_the_service_reach_the_page(self, base):
+        base.update_field(0, "occupation", "Artist", PUBLIC)
+        base.set_lists_public(0, False)
+        page = base.profile_page(0)
+        assert page.fields == {"occupation": "Artist"}
+        assert page.out_list is None
+        assert base.profile(0).fields["occupation"].value == "Artist"
 
 
 class TestContentLayer:

@@ -221,15 +221,6 @@ class TestExactInvalidation:
         assert set(cache.keys()) == before
         assert cache.invalidations == 0
 
-    def test_bulk_edges_clears_everything(self):
-        import numpy as np
-
-        service = build_service()
-        cache = make_cache(service)
-        self.seed_entries(service, cache)
-        service.add_edges_bulk(np.array([5, 6]), np.array([7, 5]))
-        assert len(cache) == 0
-
     def test_two_hop_mutation_remaps_extended_class(self):
         # 3 sees 0's EXTENDED field only via 0's contact 2.  When 2 drops
         # 3, viewer 3's class w.r.t. owner 0 must be re-derived even
@@ -274,19 +265,16 @@ class TestRandomizedMutationStorm:
     Heavy on removals — including circle-scoped removals and removals of
     never-members — because stale memoized circle intersections after
     ``CircleStore.remove`` are exactly the regression this guards
-    against. Runs on both backing stores: the columnar view must
-    invalidate identically to the dict reference.
+    against.  The owners start as column-backed base users, so the storm
+    also covers their copy-on-write promotion.
     """
 
-    @pytest.mark.parametrize("store", ["dict", "columnar"])
-    def test_storm_with_removals_stays_byte_identical(self, store):
+    def test_storm_with_removals_stays_byte_identical(self):
         import random
 
         from repro.synth import build_world, WorldConfig
 
-        world = build_world(
-            WorldConfig(n_users=600, seed=13, engine="fast", store=store)
-        )
+        world = build_world(WorldConfig(n_users=600, seed=13, engine="fast"))
         service = world.service
         cache = make_cache(service)
         rng = random.Random(99)
@@ -305,11 +293,11 @@ class TestRandomizedMutationStorm:
                     # Never-member (or empty) removal: must be a clean no-op.
                     service.remove_from_circle(u, rng.choice(users))
                 elif kind == 1:
-                    circles = service._account(u).circles
                     v = rng.choice(followees)
-                    service.remove_from_circle(
-                        u, v, rng.choice(circles.circles_of(v))
+                    circles = service.circles_containing(
+                        u, v, service.circle_names(u)
                     )
+                    service.remove_from_circle(u, v, rng.choice(circles))
                 else:
                     service.remove_from_circle(u, rng.choice(followees))
             elif kind < 7:
@@ -334,7 +322,6 @@ class TestRandomizedMutationStorm:
                 page, _ = cache.lookup(owner_id, viewer_id)
                 expected = service.profile_page(owner_id, viewer_id)
                 assert page_to_bytes(page) == page_to_bytes(expected), (
-                    store,
                     owner_id,
                     viewer_id,
                 )

@@ -8,6 +8,8 @@ uninterrupted run: same edge arrays, same profiles, same CrawlStats.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.crawler import BidirectionalBFSCrawler, CrawlDataset
@@ -19,7 +21,7 @@ from repro.store import (
     SimulatedCrash,
     dataset_diff,
 )
-from repro.store.campaign import ARCHIVE_DIR
+from repro.store.campaign import ARCHIVE_DIR, MANIFEST_NAME
 from repro.synth import build_world, WorldConfig
 
 #: Small but non-trivial: ~500 pages, a dozen checkpoints, several shards.
@@ -179,6 +181,28 @@ class TestCampaignDirectory:
     def test_config_round_trips_through_json(self):
         data = CONFIG.to_json_dict()
         assert CampaignConfig.from_json_dict(data) == CONFIG
+
+    def test_dict_store_rejected_with_cause(self):
+        with pytest.raises(ValueError, match="dict store was removed"):
+            CampaignConfig(store="dict")
+
+    def test_legacy_dict_store_manifest_resumes(self, tmp_path, reference):
+        """A campaign whose manifest names the removed dict store loads
+        as columnar and resumes to the uninterrupted crawl."""
+        directory = tmp_path / "camp"
+        with pytest.raises(SimulatedCrash):
+            CrawlCampaign(directory, CONFIG).run(
+                registry=Registry(), crash_after_pages=90
+            )
+        manifest = directory / MANIFEST_NAME
+        document = json.loads(manifest.read_text(encoding="utf-8"))
+        document["config"]["store"] = "dict"
+        manifest.write_text(json.dumps(document), encoding="utf-8")
+        resumed = CrawlCampaign(directory)
+        assert resumed.config == CONFIG
+        dataset = resumed.run(registry=Registry())
+        assert dataset_diff(dataset, reference) == []
+        assert resumed.status == "complete"
 
 
 class TestDatasetDiff:

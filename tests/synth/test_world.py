@@ -32,7 +32,7 @@ class TestWorldAssembly:
     def test_celebrities_exempt_from_circle_limit(self, small_world):
         service = small_world.service
         for user_id in small_world.population.celebrity_spec:
-            assert service._account(user_id).circles.exempt_from_limit
+            assert service.columns().exempt[user_id]
 
     def test_frontend_serves_profiles(self, small_world):
         from repro.platform.http import Request
@@ -59,3 +59,49 @@ class TestWorldAssembly:
             WorldConfig(n_users=500, seed=1, field_trial_fraction=1.5)
         with pytest.raises(ValueError):
             WorldConfig(n_users=500, seed=1, tel_user_rate=1.0)
+
+    def test_dict_store_rejected_with_cause(self):
+        with pytest.raises(ValueError, match="dict store was removed"):
+            WorldConfig(n_users=500, store="dict")
+        with pytest.raises(ValueError, match="'columnar'"):
+            WorldConfig(n_users=500, store="sharded")
+        assert WorldConfig(n_users=500).store == "columnar"
+
+
+class TestSeedUser:
+    def _global_ranked(self, world) -> list[int]:
+        return [
+            uid
+            for _, uid in sorted(
+                (spec.global_rank, uid)
+                for uid, spec in world.population.celebrity_spec.items()
+                if spec.global_rank >= 2
+            )
+        ]
+
+    def test_seed_walks_past_hidden_lists(self):
+        world = build_world(WorldConfig(n_users=500, seed=4))
+        rank2, rank3, rank4 = self._global_ranked(world)[:3]
+        for uid in (rank2, rank3, rank4):
+            world.service.set_lists_public(uid, True)
+        assert world.seed_user_id() == rank2
+        world.service.set_lists_public(rank2, False)
+        world.service.set_lists_public(rank3, False)
+        assert world.seed_user_id() == rank4
+
+    def test_no_public_celebrity_is_a_clear_error(self):
+        world = build_world(WorldConfig(n_users=500, seed=4))
+        for uid in self._global_ranked(world):
+            world.service.set_lists_public(uid, False)
+        with pytest.raises(RuntimeError, match="no crawlable seed"):
+            world.seed_user_id()
+
+    def test_rank_one_is_never_the_seed(self):
+        world = build_world(WorldConfig(n_users=500, seed=4))
+        rank1 = next(
+            uid
+            for uid, spec in world.population.celebrity_spec.items()
+            if spec.global_rank == 1
+        )
+        world.service.set_lists_public(self._global_ranked(world)[0], False)
+        assert world.seed_user_id() != rank1
