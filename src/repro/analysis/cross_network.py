@@ -42,16 +42,6 @@ class CrossNetworkComparison:
             > self.rows["Google+"].mean_in_degree
         )
 
-    def gplus_paths_longest(self) -> bool:
-        """The young network has the longest average path (5.9 vs 4.1-4.7)."""
-        gplus = self.rows["Google+"].avg_path_length
-        others = [
-            s.avg_path_length
-            for name, s in self.rows.items()
-            if name != "Google+"
-        ]
-        return all(gplus >= value for value in others)
-
 
 def compare_networks(
     gplus_graph: CSRGraph,

@@ -51,13 +51,6 @@ class GrowthAnalysis:
         """True when edges grow superlinearly in nodes (a > 1)."""
         return self.densification_exponent > 1.0
 
-    def path_length_trend(self) -> float:
-        """Last-minus-first sampled mean path length (negative = shrinking)."""
-        defined = [s for s in self.snapshots if np.isfinite(s.mean_path_length)]
-        if len(defined) < 2:
-            return float("nan")
-        return defined[-1].mean_path_length - defined[0].mean_path_length
-
 
 def _snapshot_metrics(
     timeline: GrowthTimeline,

@@ -24,11 +24,12 @@ decomposition its singleton tail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.analysis.attributes import attribute_availability, AttributeAvailability
+from repro.analysis.diffusion import analyze_diffusion, DiffusionAnalysis
 from repro.analysis.distancefx import (
     analyze_country_path_miles,
     analyze_path_miles,
@@ -41,6 +42,7 @@ from repro.analysis.geo_dist import (
     PenetrationAnalysis,
     top_countries,
 )
+from repro.analysis.growth import analyze_growth, GrowthAnalysis
 from repro.analysis.linkgeo import analyze_link_geography, LinkGeographyAnalysis
 from repro.analysis.openness import openness_by_country, OpennessAnalysis
 from repro.analysis.structure import (
@@ -76,7 +78,9 @@ from repro.graph.csr import CSRGraph
 from repro.graph.parallel import BFSEngine
 from repro.obs import trace
 from repro.graph.stats import GraphSummary
+from repro.synth.activity import simulate_activity
 from repro.synth.countries import TOP10_CODES
+from repro.synth.growth import build_timeline
 from repro.synth.world import build_world, SyntheticWorld, WorldConfig
 
 
@@ -93,9 +97,10 @@ def check_crawl_coverage(
     dataset: CrawlDataset, seed_user: int, budget: int
 ) -> None:
     """Raise :class:`CrawlCoverageError` unless the crawl fetched at
-    least :data:`MIN_CRAWL_COVERAGE` of its ``budget`` of pages."""
+    least :data:`MIN_CRAWL_COVERAGE` of its ``budget`` of pages.  A
+    budget of zero pages always fails: nothing could be analysed."""
     fetched = dataset.n_profiles
-    if fetched >= MIN_CRAWL_COVERAGE * budget:
+    if budget > 0 and fetched >= MIN_CRAWL_COVERAGE * budget:
         return
     frontier = max(0, dataset.stats.discovered - fetched)
     raise CrawlCoverageError(
@@ -129,6 +134,24 @@ class StudyConfig:
     #: "fast" (vectorized, statistically equivalent — see docs/synth.md).
     engine: str = "reference"
     world: WorldConfig | None = None
+
+    def __post_init__(self) -> None:
+        # Reject values no study can run with before the world is built;
+        # otherwise they surface only after the crawl, far from the cause.
+        if not 0.0 < self.crawl_fraction <= 1.0:
+            raise ValueError(
+                f"crawl_fraction must be in (0, 1], got {self.crawl_fraction!r}"
+            )
+        for name in (
+            "n_machines",
+            "path_workers",
+            "path_sample_start",
+            "path_sample_max",
+            "path_mile_pairs",
+        ):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value!r}")
 
     def world_config(self) -> WorldConfig:
         if self.world is not None:
@@ -164,7 +187,10 @@ class StudyResults:
     fig9b_country_miles: CountryPathMiles
     fig10_links: LinkGeographyAnalysis
     table5_occupations: list[CountryTopRow]
-    extras: dict = dataclass_field(default_factory=dict)
+    # Section 7 extensions: they need the generating world, so both are
+    # None for a foreign dataset.
+    growth: GrowthAnalysis | None
+    diffusion: DiffusionAnalysis | None
 
 
 class MeasurementStudy:
@@ -182,7 +208,7 @@ class MeasurementStudy:
         return self._world
 
     def _page_budget(self, world: SyntheticWorld) -> int:
-        return int(world.n_users * min(1.0, self.config.crawl_fraction))
+        return int(world.n_users * self.config.crawl_fraction)
 
     def crawl(self, hooks=None) -> CrawlDataset:
         """Run the bidirectional BFS crawl over the world's front end.
@@ -271,6 +297,21 @@ class MeasurementStudy:
             table5_occupations = top_occupations_by_country(
                 dataset, graph, geo, top10
             )
+        growth = diffusion = None
+        if world is not None:
+            seed = world.config.seed
+            with trace.span("study.analyze.growth"):
+                timeline = build_timeline(
+                    world.graph, world.config.field_trial_fraction, seed=seed + 7
+                )
+                growth = analyze_growth(
+                    timeline, seed=seed + 8, n_snapshots=6, path_samples=120
+                )
+            with trace.span("study.analyze.diffusion"):
+                log = simulate_activity(world, seed=seed + 9, max_users=10_000)
+                diffusion = analyze_diffusion(
+                    log, world.population, countries=top10
+                )
         return StudyResults(
             config=config,
             dataset=dataset,
@@ -294,7 +335,8 @@ class MeasurementStudy:
             fig9b_country_miles=fig9b_country_miles,
             fig10_links=fig10_links,
             table5_occupations=table5_occupations,
-            extras={"world": world},
+            growth=growth,
+            diffusion=diffusion,
         )
 
 

@@ -17,7 +17,6 @@ from typing import Any
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.graph.digraph import DiGraph
 from repro.platform.models import (
     ContactInfo,
     Gender,
@@ -85,12 +84,6 @@ class CrawlDataset:
         return CSRGraph.from_edge_arrays(
             self.sources, self.targets, node_ids=self.node_ids()
         )
-
-    def to_digraph(self) -> DiGraph:
-        graph = DiGraph.from_edges(zip(self.sources, self.targets))
-        for user_id in self.profiles:
-            graph.add_node(int(user_id))
-        return graph
 
     def to_networkx(self):
         """Export to a ``networkx.DiGraph`` with basic node attributes.

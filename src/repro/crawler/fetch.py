@@ -66,18 +66,6 @@ class FetchStats:
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
         return self
 
-    def __add__(self, other: "FetchStats") -> "FetchStats":
-        if not isinstance(other, FetchStats):
-            return NotImplemented
-        return FetchStats(
-            **{
-                f.name: getattr(self, f.name) + getattr(other, f.name)
-                for f in dataclasses.fields(self)
-            }
-        )
-
-    __radd__ = __add__
-
 
 @dataclass
 class Fetcher:

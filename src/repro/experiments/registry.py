@@ -428,18 +428,11 @@ def _methodology(r: StudyResults) -> str:
 
 
 def _ext_growth(r: StudyResults) -> str:
-    from repro.analysis.growth import analyze_growth
-    from repro.synth.growth import build_timeline, OPEN_SIGNUP_DAY
+    from repro.synth.growth import OPEN_SIGNUP_DAY
 
-    world = r.extras.get("world")
-    if world is None:
+    growth = r.growth
+    if growth is None:
         return "(growth study requires the generating world; not available)"
-    timeline = build_timeline(
-        world.graph, world.config.field_trial_fraction, seed=world.config.seed + 7
-    )
-    growth = analyze_growth(
-        timeline, seed=world.config.seed + 8, n_snapshots=6, path_samples=120
-    )
     rows = [
         (
             f"{s.day:.0f}",
@@ -465,15 +458,9 @@ def _ext_growth(r: StudyResults) -> str:
 
 
 def _ext_diffusion(r: StudyResults) -> str:
-    from repro.analysis.diffusion import analyze_diffusion
-    from repro.synth.activity import simulate_activity
-    from repro.synth.countries import TOP10_CODES
-
-    world = r.extras.get("world")
-    if world is None:
+    analysis = r.diffusion
+    if analysis is None:
         return "(diffusion study requires the generating world; not available)"
-    log = simulate_activity(world, seed=world.config.seed + 9, max_users=10_000)
-    analysis = analyze_diffusion(log, world.population, countries=list(TOP10_CODES))
     reach = analysis.reach
     rows = [
         (code, activity.n_posts, percent(activity.public_share),

@@ -166,10 +166,9 @@ class ErrorBurst(FaultRule):
 
 
 class BernoulliErrors(ErrorBurst):
-    """Always-on uniform 503s — the legacy ``error_rate`` knob.
-
-    Draw-for-draw compatible with the old single ``FlakinessModel`` hook:
-    one uniform per request, ``default_rng(seed)``.
+    """Always-on uniform 503s — what :class:`~repro.platform.http.HttpFrontend`'s
+    ``error_rate`` knob builds: one uniform draw per request from
+    ``default_rng(seed)``.
     """
 
     kind = "bernoulli_errors"

@@ -6,11 +6,6 @@ from .clustering import (
     clustering_coefficients,
     sampled_clustering,
 )
-from .correlations import (
-    degree_assortativity,
-    in_out_degree_correlation,
-    mean_neighbor_degree,
-)
 from .components import (
     ComponentDecomposition,
     scc_size_ccdf_input,
@@ -26,7 +21,6 @@ from .degree import (
     DegreeDistributions,
     EmpiricalCCDF,
 )
-from .digraph import DiGraph
 from .msbfs import (
     batch_eccentricities,
     batch_hop_counts,
@@ -56,12 +50,6 @@ from .reciprocity import (
 )
 from .sampling import sample_edges, sample_node_pairs, sample_nodes
 from .stats import GraphSummary, summarize_graph
-from .triads import (
-    transitivity_signature,
-    TRIAD_TYPES,
-    triad_census_exact,
-    triad_census_sampled,
-)
 
 __all__ = [
     "average_clustering",
@@ -73,20 +61,16 @@ __all__ = [
     "cdf",
     "clustering_coefficient",
     "clustering_coefficients",
-    "degree_assortativity",
     "ComponentDecomposition",
     "CSRGraph",
     "degree_distributions",
     "DegreeDistributions",
-    "DiGraph",
     "DIRECTED",
     "EmpiricalCCDF",
     "estimate_diameter",
     "fit_powerlaw",
     "fit_powerlaw_ccdf",
     "global_reciprocity",
-    "in_out_degree_correlation",
-    "mean_neighbor_degree",
     "GraphSummary",
     "msbfs_distances",
     "PathLengthDistribution",
@@ -105,10 +89,6 @@ __all__ = [
     "SharedCSR",
     "strongly_connected_components",
     "summarize_graph",
-    "transitivity_signature",
-    "TRIAD_TYPES",
-    "triad_census_exact",
-    "triad_census_sampled",
     "UnionFind",
     "UNDIRECTED",
     "weakly_connected_components",

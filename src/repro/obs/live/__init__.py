@@ -3,7 +3,7 @@
 The layer that turns a multi-hour campaign from a black box into a
 continuously observable system (see ``docs/observability.md``):
 
-* :mod:`~repro.obs.live.sketches` — mergeable incremental sketches whose
+* :mod:`~repro.obs.live.sketches` — incremental sketches whose
   figures are bit-equal to the batch pipeline on the ingested prefix;
 * :mod:`~repro.obs.live.telemetry` — the :class:`LiveTelemetry` crawl
   hook: feeds the sketches from page events and sealed edge segments,

@@ -1,4 +1,4 @@
-"""Mergeable incremental sketches over a streaming crawl.
+"""Incremental sketches over a streaming crawl.
 
 Each sketch consumes batches of crawl observations (edge arrays from
 sealed segments, parsed profiles from page events) and can report the
@@ -15,12 +15,6 @@ paper's figure inputs at any moment.  Design constraints:
    segment, or one epoch's buffered pages) and are processed with
    vectorised operations only — no per-edge Python loop anywhere on the
    crawl's hot path.
-3. **Merge laws.**  Every sketch supports ``merge(other)``:
-   degree/attribute sketches add elementwise; the reciprocity sketch
-   adds pair counts plus the cross-term between the two key sets; the
-   component sketch replays the other forest's links.  ``merge`` is
-   associative and commutative with ingestion order — the algebra that
-   makes per-shard or per-process sketching sound.
 
 Node ids must be non-negative and are used as dense array indexes (the
 synthetic worlds allocate them densely from zero); edges are assumed
@@ -131,14 +125,6 @@ class DegreeSketch:
         self._seen |= in_counts.astype(bool)
         self.n_edges += int(sources.size)
 
-    def merge(self, other: "DegreeSketch") -> None:
-        if len(other._out):
-            self._ensure(len(other._out) - 1)
-            self._out[: len(other._out)] += other._out
-            self._in[: len(other._in)] += other._in
-            self._seen[: len(other._seen)] |= other._seen
-        self.n_edges += other.n_edges
-
     def node_ids(self) -> np.ndarray:
         return np.flatnonzero(self._seen)
 
@@ -206,17 +192,6 @@ class ReciprocitySketch:
             self._keys, np.searchsorted(self._keys, batch), batch
         )
         self.n_edges += int(sources.size)
-
-    def merge(self, other: "ReciprocitySketch") -> None:
-        reverse = np.sort(
-            (other._keys % _PACK) * _PACK + other._keys // _PACK
-        )
-        self.n_reciprocal += other.n_reciprocal
-        self.n_reciprocal += 2 * _count_members(self._keys, reverse)
-        self._keys = np.insert(
-            self._keys, np.searchsorted(self._keys, other._keys), other._keys
-        )
-        self.n_edges += other.n_edges
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The ingested edge set, decoded (key-sorted order)."""
@@ -290,13 +265,6 @@ class ComponentSketch:
         self._parent[sources] = self._roots(sources)
         self._parent[targets] = self._roots(targets)
 
-    def merge(self, other: "ComponentSketch") -> None:
-        links = np.flatnonzero(other._parent != np.arange(len(other._parent)))
-        if len(other._parent):
-            self._ensure(len(other._parent) - 1)
-        if links.size:
-            self.add_edges(links, other._parent[links])
-
     def summary(self, node_ids) -> dict:
         """Component count and giant size over the given node universe."""
         node_ids = np.asarray(node_ids, dtype=np.int64)
@@ -350,13 +318,6 @@ class AttributeSketch:
             if country is not None
         )
         for key, count in countries.items():
-            self.country_counts[key] = self.country_counts.get(key, 0) + count
-
-    def merge(self, other: "AttributeSketch") -> None:
-        self.n_profiles += other.n_profiles
-        for key, count in other.field_counts.items():
-            self.field_counts[key] = self.field_counts.get(key, 0) + count
-        for key, count in other.country_counts.items():
             self.country_counts[key] = self.country_counts.get(key, 0) + count
 
     def figures(self) -> dict:

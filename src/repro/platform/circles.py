@@ -76,37 +76,6 @@ class CircleStore:
         self.all_members[target_id] = None
         return is_new_contact
 
-    def extend(self, target_ids, circle: str = DEFAULT_CIRCLE) -> list[int]:
-        """Batch :meth:`add`: validate once, then insert in a tight loop.
-
-        Unlike repeated ``add`` calls, all validation (self-adds, the
-        out-circle cap) happens up front, so a failing batch mutates
-        nothing — and a succeeding batch leaves the store in exactly the
-        state the equivalent ``add`` sequence would. Returns the targets
-        that became *new* contacts, in first-added order.
-        """
-        target_ids = [int(t) for t in target_ids]
-        if not target_ids:
-            # Zero add() calls create nothing — neither may an empty
-            # batch, or a phantom empty circle appears in circle_names().
-            return []
-        owner_id = self.owner_id
-        all_members = self.all_members
-        if any(t == owner_id for t in target_ids):
-            raise ValueError("users cannot add themselves to their own circles")
-        if not self.exempt_from_limit:
-            new_count = len({t for t in target_ids if t not in all_members})
-            if len(all_members) + new_count > OUT_CIRCLE_LIMIT:
-                raise CircleLimitError(owner_id, OUT_CIRCLE_LIMIT)
-        members = self.members_by_circle.setdefault(circle, {})
-        new_contacts: list[int] = []
-        for t in target_ids:
-            if t not in all_members:
-                new_contacts.append(t)
-            members[t] = None
-            all_members[t] = None
-        return new_contacts
-
     def remove(self, target_id: int, circle: str | None = None) -> bool:
         """Remove a contact from one circle, or from all circles.
 
@@ -138,19 +107,9 @@ class CircleStore:
     def member_of(self, target_id: int, circle: str) -> bool:
         """True when the target is in the named circle (missing = False).
 
-        The read primitive behind CUSTOM privacy checks: callers go
-        through this instead of reaching into ``members_by_circle`` so
-        alternative stores can answer without materializing dicts.
+        The read primitive behind CUSTOM privacy checks.
         """
         return target_id in self.members_by_circle.get(circle, ())
-
-    def circles_of(self, target_id: int) -> list[str]:
-        """Names of the owner's circles containing the target."""
-        return [
-            name
-            for name, members in self.members_by_circle.items()
-            if target_id in members
-        ]
 
     def out_degree(self) -> int:
         """Number of distinct contacts across all circles."""

@@ -45,12 +45,3 @@ class UnknownCircleError(PlatformError, KeyError):
         super().__init__(f"user {user_id} has no circle named {circle!r}")
         self.user_id = user_id
         self.circle = circle
-
-
-class RateLimitedError(PlatformError):
-    """Raised internally when a client IP exceeds its request budget."""
-
-    def __init__(self, ip: str, retry_after: float):
-        super().__init__(f"ip {ip} rate limited; retry after {retry_after:.2f}s")
-        self.ip = ip
-        self.retry_after = retry_after

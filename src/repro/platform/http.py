@@ -10,12 +10,8 @@ perfectly deterministic.
 
 from __future__ import annotations
 
-import copy
-import inspect
 from dataclasses import dataclass, field
 from typing import Any, Mapping
-
-import numpy as np
 
 from repro.faults.schedule import (
     BernoulliErrors,
@@ -227,67 +223,14 @@ class RateLimiter:
         }
 
 
-class FlakinessModel:
-    """Injects transient 503s with a seeded RNG so crawls stay deterministic.
-
-    Superseded as the front end's failure hook by the composable
-    :class:`repro.faults.FaultSchedule` (the ``error_rate`` constructor
-    knob now builds a :class:`repro.faults.BernoulliErrors` rule with
-    identical draw behaviour); kept as a small standalone model for
-    direct use.
-    """
-
-    def __init__(self, error_rate: float = 0.0, seed: int = 0):
-        if not 0.0 <= error_rate < 1.0:
-            raise ValueError("error_rate must be in [0, 1)")
-        self._error_rate = error_rate
-        self._rng = np.random.default_rng(seed)
-
-    def should_fail(self) -> bool:
-        if self._error_rate == 0.0:
-            return False
-        return bool(self._rng.random() < self._error_rate)
-
-    def export_state(self) -> dict:
-        """The RNG's bit-generator state, JSON-ready."""
-        return copy.deepcopy(self._rng.bit_generator.state)
-
-    def restore_state(self, state: Mapping[str, Any]) -> None:
-        self._rng.bit_generator.state = copy.deepcopy(dict(state))
-
-
-def _handler_accepts_viewer(handler) -> bool:
-    """Whether a page handler takes a ``(path, viewer_id)`` pair.
-
-    Decided once at construction from the signature so legacy one-
-    argument handlers (plenty exist in tests) keep working unchanged,
-    with no per-request ``TypeError`` probing.
-    """
-    try:
-        signature = inspect.signature(handler)
-    except (TypeError, ValueError):
-        return False
-    positional = 0
-    for parameter in signature.parameters.values():
-        if parameter.kind in (
-            inspect.Parameter.POSITIONAL_ONLY,
-            inspect.Parameter.POSITIONAL_OR_KEYWORD,
-        ):
-            positional += 1
-        elif parameter.kind is inspect.Parameter.VAR_POSITIONAL:
-            return True
-    return positional >= 2
-
-
 class HttpFrontend:
     """Ties the rate limiter and fault schedule in front of a page handler.
 
-    The handler is any callable mapping a path to ``(status, payload)``;
-    :class:`repro.platform.service.GooglePlusService` provides one.  A
-    handler whose signature accepts a second positional argument is
-    called as ``handler(path, viewer_id)``, which is how logged-in
-    clients get privacy-filtered pages; one-argument handlers keep the
-    anonymous-only behaviour.
+    The handler is any callable mapping ``(path, viewer_id)`` to
+    ``(status, payload)``; ``viewer_id`` is ``None`` for anonymous
+    clients such as the crawler, and a user id for logged-in clients,
+    who get privacy-filtered pages.
+    :meth:`repro.platform.service.GooglePlusService.handle_path` is one.
 
     ``faults`` is a :class:`repro.faults.FaultSchedule` of scripted
     failure windows; the legacy ``error_rate``/``seed`` pair still works
@@ -306,7 +249,6 @@ class HttpFrontend:
         registry: Registry | None = None,
     ):
         self._handler = handler
-        self._pass_viewer = _handler_accepts_viewer(handler)
         self.clock = clock if clock is not None else SimulatedClock()
         self._limiter = RateLimiter(rate_per_ip, burst, self.clock)
         rules = list(faults.rules) if faults is not None else []
@@ -397,10 +339,7 @@ class HttpFrontend:
             self._m_requests.inc(status=decision.status)
             self._m_faults.inc(kind=decision.kind)
             return Response(decision.status, retry_after=decision.retry_after)
-        if self._pass_viewer:
-            status, payload = self._handler(request.path, request.viewer_id)
-        else:
-            status, payload = self._handler(request.path)
+        status, payload = self._handler(request.path, request.viewer_id)
         slow_by = 0.0
         if decision is not None and status == STATUS_OK:
             slow_by = decision.slow_by

@@ -14,10 +14,14 @@ State lives in two layers (``docs/storage.md``):
   adopted in one call by :meth:`GooglePlusService.ingest_world` and
   empty until then;
 * **copy-on-write overlays** — per user and per component, ordinary
-  objects: a :class:`UserProfile`, a :class:`CircleStore`, a follower
-  dict and a notification list. The first write to a base user's
-  component materialises that one component; users added by
-  :meth:`~GooglePlusService.register` live wholly in the overlays.
+  objects: a :class:`UserProfile`, a :class:`CircleStore` and a follower
+  dict. The first write to a base user's component materialises that
+  one component; users added by :meth:`~GooglePlusService.register`
+  live wholly in the overlays.
+
+A notification feed is never materialised: a base user's feed is its
+incoming links read from the columns (until the feed is first cleared),
+followed by an appended tail of later notes.
 
 Every read checks the user's overlay component first, then the columns.
 Reads never promote, so a crawl leaves the world columnar.
@@ -111,7 +115,10 @@ class GooglePlusService:
         self._profiles: dict[int, UserProfile] = {}
         self._circles: dict[int, CircleStore] = {}
         self._followers: dict[int, dict[int, None]] = {}
+        #: Notes appended since ingest (or since the last clear).
         self._notifications: dict[int, list[Notification]] = {}
+        #: Users whose feed was cleared: their base links are consumed.
+        self._cleared_feeds: set[int] = set()
         #: Users created by :meth:`register`, in signup order.
         self._registered: list[int] = []
         self._member_sets: dict[int, frozenset] = {}
@@ -163,7 +170,6 @@ class GooglePlusService:
         self._profiles[user_id] = profile
         self._circles[user_id] = store
         self._followers[user_id] = {}
-        self._notifications[user_id] = []
         self._registered.append(user_id)
 
     def ingest_world(
@@ -219,7 +225,7 @@ class GooglePlusService:
         return int(len(circles.in_sources))
 
     def columns(self) -> ColumnarWorld:
-        """The base world (benchmarks, spill, inspection)."""
+        """The base world (benchmarks, inspection)."""
         return self._base
 
     def enable_open_signup(self) -> None:
@@ -274,22 +280,6 @@ class GooglePlusService:
             followers = dict.fromkeys(self._base.circles.in_slice(user_id).tolist())
             self._followers[user_id] = followers
         return followers
-
-    def _promote_notifications(self, user_id: int) -> list[Notification]:
-        notes = self._notifications.get(user_id)
-        if notes is None:
-            self._check_base(user_id)
-            notes = self._base_notifications(user_id)
-            self._notifications[user_id] = notes
-        return notes
-
-    def _base_notifications(self, user_id: int) -> list[Notification]:
-        """A base user's feed: one ``added_to_circle`` per incoming link,
-        in link order."""
-        return [
-            Notification(kind="added_to_circle", actor_id=actor)
-            for actor in self._base.circles.in_slice(user_id).tolist()
-        ]
 
     # -- profile reads --------------------------------------------------------
 
@@ -356,7 +346,7 @@ class GooglePlusService:
             self._promote_followers(target_id)[user_id] = None
             # Section 2.1: the added user is notified (circle name stays
             # private — only the fact of the add is revealed).
-            self._promote_notifications(target_id).append(
+            self._notifications.setdefault(target_id, []).append(
                 Notification(kind="added_to_circle", actor_id=user_id)
             )
         # Even a non-link add (an existing contact joining another circle)
@@ -602,15 +592,23 @@ class GooglePlusService:
         return post
 
     def notifications(self, user_id: int, clear: bool = False) -> list[Notification]:
-        """The user's notification feed (optionally consuming it)."""
-        notes = self._notifications.get(user_id)
-        if notes is None:
-            self._check_base(user_id)
-            items = self._base_notifications(user_id)
-        else:
-            items = list(notes)
+        """The user's notification feed (optionally consuming it).
+
+        A base user's feed opens with one ``added_to_circle`` per
+        incoming base link, in link order, until it is first cleared;
+        the notes appended since follow.
+        """
+        self._require(user_id)
+        items = []
+        if 0 <= user_id < self._base.n and user_id not in self._cleared_feeds:
+            items = [
+                Notification(kind="added_to_circle", actor_id=actor)
+                for actor in self._base.circles.in_slice(user_id).tolist()
+            ]
+        items.extend(self._notifications.get(user_id, ()))
         if clear:
-            self._notifications[user_id] = []
+            self._cleared_feeds.add(user_id)
+            self._notifications.pop(user_id, None)
         return items
 
     def plus_one(self, user_id: int, post_id: int) -> None:
@@ -622,7 +620,7 @@ class GooglePlusService:
             raise KeyError(f"unknown post id: {post_id}") from None
         if user_id not in post.plus_ones:
             post.plus_ones.add(user_id)
-            self._promote_notifications(post.author_id).append(
+            self._notifications.setdefault(post.author_id, []).append(
                 Notification(kind="plus_one", actor_id=user_id, subject_id=post_id)
             )
             self._notify("plus_one", user_id, post_id)

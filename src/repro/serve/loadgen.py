@@ -514,12 +514,6 @@ class LoadGenerator:
             clock.advance(when - clock.now())
         return self.n_requests
 
-    def run_until(self, until: float) -> None:
-        """Advance the clock to an absolute virtual time."""
-        remaining = until - self._clock.now()
-        if remaining > 0:
-            self._clock.advance(remaining)
-
     # -- resumable state ------------------------------------------------------
 
     def export_state(self) -> dict:

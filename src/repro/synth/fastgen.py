@@ -159,12 +159,6 @@ class IncrementalPools:
         idx = cum.searchsorted(rolls * cum[-1], side="right")
         return self.order[self.starts[group] + np.minimum(idx, len(cum) - 1)]
 
-    def pick_scalar(self, group: int, roll: float) -> int:
-        """Single weight-proportional pick (the collision-retry fallback)."""
-        cum = self.cumulative(group)
-        idx = min(int(cum.searchsorted(roll * cum[-1], side="right")), len(cum) - 1)
-        return int(self.order[self.starts[group] + idx])
-
 
 class _KeySet:
     """Vectorized open-addressing hash set of non-negative int64 keys.

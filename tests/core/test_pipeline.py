@@ -1,8 +1,13 @@
 """Tests for the end-to-end measurement pipeline."""
 
 import numpy as np
+import pytest
 
 from repro.core import MeasurementStudy, StudyConfig
+from repro.core import pipeline
+from repro.core.pipeline import CrawlCoverageError, check_crawl_coverage
+from repro.crawler.dataset import CrawlDataset
+from repro.experiments.runner import main as experiments_main
 from repro.synth import WorldConfig
 
 
@@ -17,6 +22,45 @@ class TestStudyConfig:
         world = WorldConfig(n_users=1_000, seed=5)
         config = StudyConfig(n_users=9_999, world=world)
         assert config.world_config() is world
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5, float("nan")])
+    def test_crawl_fraction_outside_unit_interval_rejected(self, fraction):
+        with pytest.raises(ValueError, match="crawl_fraction"):
+            StudyConfig(n_users=2_000, crawl_fraction=fraction)
+
+    def test_full_crawl_fraction_accepted(self):
+        assert StudyConfig(crawl_fraction=1.0).crawl_fraction == 1.0
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "n_machines",
+            "path_workers",
+            "path_sample_start",
+            "path_sample_max",
+            "path_mile_pairs",
+        ],
+    )
+    def test_count_below_one_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            StudyConfig(n_users=2_000, **{field: 0})
+
+    def test_cli_rejects_bad_config_before_building_the_world(self, monkeypatch):
+        def no_build(config):
+            raise AssertionError("world built for an invalid config")
+
+        monkeypatch.setattr(pipeline, "build_world", no_build)
+        with pytest.raises(ValueError, match="path_workers"):
+            experiments_main(["--users", "2000", "--path-workers", "0"])
+
+
+class TestCrawlCoverage:
+    def test_zero_page_budget_fails(self):
+        empty = CrawlDataset(
+            profiles={}, sources=np.empty(0, np.int64), targets=np.empty(0, np.int64)
+        )
+        with pytest.raises(CrawlCoverageError, match="fetched 0 of 0 pages"):
+            check_crawl_coverage(empty, seed_user=0, budget=0)
 
 
 class TestRun:

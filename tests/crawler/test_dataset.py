@@ -59,11 +59,6 @@ class TestGraphExport:
             graph.compact_index(1), graph.compact_index(2)
         )
 
-    def test_to_digraph(self, dataset):
-        graph = dataset.to_digraph()
-        assert graph.n_nodes == 3
-        assert graph.has_edge(2, 1)
-
     def test_counts(self, dataset):
         assert dataset.n_profiles == 2
         assert dataset.n_edges == 3

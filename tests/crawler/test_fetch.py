@@ -141,17 +141,6 @@ class TestFetchStats:
             pages_fetched=5, not_found=1, server_errors=4, time_waiting=2.0
         )
 
-    def test_add_is_non_destructive(self):
-        a = FetchStats(pages_fetched=2)
-        b = FetchStats(pages_fetched=3, throttled=1)
-        total = a + b
-        assert total == FetchStats(pages_fetched=5, throttled=1)
-        assert a == FetchStats(pages_fetched=2)
-
-    def test_sum_builtin(self):
-        stats = [FetchStats(pages_fetched=i) for i in range(4)]
-        assert sum(stats, FetchStats()).pages_fetched == 6
-
     def test_merge_covers_fields_added_later(self):
         """merge iterates dataclasses.fields, so every field aggregates."""
         a, b = FetchStats(), FetchStats()

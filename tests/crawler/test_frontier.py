@@ -29,14 +29,14 @@ class TestFrontier:
         assert frontier.add_all([1, 2, 3]) == 2
 
     def test_visited_and_discovered(self):
+        """A popped (visited) user is a seen one no longer queued."""
         frontier = BFSFrontier()
-        frontier.add(1)
+        frontier.add_all([1, 2])
         assert frontier.discovered(1)
-        assert not frontier.visited(1)
         frontier.pop()
-        assert frontier.visited(1)
-        assert frontier.n_visited == 1
-        assert frontier.n_discovered == 1
+        assert frontier.discovered(1)
+        assert frontier.n_discovered == 2
+        assert frontier.export_state() == {"queue": [2], "seen": [1, 2]}
 
     def test_bool_reflects_queue(self):
         frontier = BFSFrontier()
@@ -78,8 +78,13 @@ class TestStateExport:
         restored.restore_state(state)
         assert restored.export_state() == state
         assert [restored.pop() for _ in range(3)] == [3, 9, 5]
-        assert restored.visited(7)
         assert not restored.add(7)
+
+    def test_restore_ignores_legacy_visited_list(self):
+        restored = BFSFrontier()
+        restored.restore_state({"queue": [2], "seen": [1, 2], "visited": [1]})
+        assert restored.export_state() == {"queue": [2], "seen": [1, 2]}
+        assert not restored.add(1)
 
     def test_export_coerces_numpy_ids_to_ints(self):
         frontier = BFSFrontier()

@@ -136,7 +136,7 @@ class TestResiliencePolicy:
 
 
 def stub_frontend() -> HttpFrontend:
-    return HttpFrontend(lambda path: Response(200, payload=None))
+    return HttpFrontend(lambda path, viewer_id=None: Response(200, payload=None))
 
 
 def make_fetcher(**kwargs) -> Fetcher:

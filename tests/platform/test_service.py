@@ -21,7 +21,7 @@ from repro.platform.privacy import (
     PUBLIC,
     YOUR_CIRCLES,
 )
-from repro.platform.service import GooglePlusService
+from repro.platform.service import GooglePlusService, Notification
 
 
 def profile(user_id: int) -> UserProfile:
@@ -311,3 +311,66 @@ class TestNotifications:
         service.add_to_circle(0, 1)
         assert service.notifications(1, clear=True)
         assert service.notifications(1) == []
+
+
+class TestBaseUserFeed:
+    """A base user's feed: its base in-links read from the columns, then
+    the notes appended since, with nothing copied on the first write."""
+
+    CELEBRITY = 0
+    FANS = [3, 1, 4, 2]
+
+    @pytest.fixture
+    def base(self) -> GooglePlusService:
+        svc = GooglePlusService(open_signup=True)
+        svc.ingest_world(
+            ColumnarProfileStore.from_profiles({uid: profile(uid) for uid in range(6)}),
+            np.array(self.FANS),
+            np.full(len(self.FANS), self.CELEBRITY),
+            ("friends",),
+            np.zeros(len(self.FANS), np.uint8),
+        )
+        return svc
+
+    def in_link_notes(self, actors):
+        return [Notification(kind="added_to_circle", actor_id=a) for a in actors]
+
+    def test_unwritten_feed_is_the_base_in_links(self, base):
+        assert base.notifications(self.CELEBRITY) == self.in_link_notes(self.FANS)
+        assert base.notifications(5) == []
+
+    def test_circle_add_and_plus_one_follow_the_base_in_links(self, base):
+        base.add_to_circle(5, self.CELEBRITY)
+        post = base.publish(self.CELEBRITY, "hello")
+        base.plus_one(1, post.post_id)
+        assert base.notifications(self.CELEBRITY) == self.in_link_notes(
+            self.FANS
+        ) + [
+            Notification(kind="added_to_circle", actor_id=5),
+            Notification(kind="plus_one", actor_id=1, subject_id=post.post_id),
+        ]
+        assert base._notifications[self.CELEBRITY] == base.notifications(
+            self.CELEBRITY
+        )[len(self.FANS):]
+
+    def test_clear_consumes_the_base_in_links(self, base):
+        base.add_to_circle(5, self.CELEBRITY)
+        assert len(base.notifications(self.CELEBRITY, clear=True)) == 5
+        assert base.notifications(self.CELEBRITY) == []
+        base.remove_from_circle(5, self.CELEBRITY)
+        base.add_to_circle(5, self.CELEBRITY)
+        assert base.notifications(self.CELEBRITY) == self.in_link_notes([5])
+
+    def test_registered_user_feed_is_unchanged(self, base):
+        base.register(profile(9))
+        base.add_to_circle(self.CELEBRITY, 9)
+        assert base.notifications(9, clear=True) == self.in_link_notes(
+            [self.CELEBRITY]
+        )
+        assert base.notifications(9) == []
+        base.add_to_circle(2, 9)
+        assert base.notifications(9) == self.in_link_notes([2])
+
+    def test_unknown_user_raises(self, base):
+        with pytest.raises(UnknownUserError):
+            base.notifications(99)

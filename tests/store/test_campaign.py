@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro.crawler import BidirectionalBFSCrawler, CrawlDataset
+from repro.crawler.frontier import BFSFrontier
 from repro.obs.metrics import Registry
 from repro.store import (
     CampaignConfig,
@@ -21,7 +22,8 @@ from repro.store import (
     SimulatedCrash,
     dataset_diff,
 )
-from repro.store.campaign import ARCHIVE_DIR, MANIFEST_NAME
+from repro.store.campaign import ARCHIVE_DIR, CHECKPOINTS_DIR, MANIFEST_NAME
+from repro.store.checkpoint import load_latest
 from repro.synth import build_world, WorldConfig
 
 #: Small but non-trivial: ~500 pages, a dozen checkpoints, several shards.
@@ -147,6 +149,36 @@ class TestCrashAndResume:
         self.resume_after_crash(
             tmp_path / "camp", FLAKY_CONFIG, flaky_reference, crash_after_pages=110
         )
+
+    def test_resume_from_checkpoint_with_legacy_visited_list(
+        self, tmp_path, reference, monkeypatch
+    ):
+        """Older checkpoints also stored the popped users as a "visited"
+        list in the frontier state; resuming from one ignores it."""
+        directory = tmp_path / "camp"
+        export_state = BFSFrontier.export_state
+
+        def legacy_export_state(frontier):
+            state = export_state(frontier)
+            state["visited"] = sorted(set(state["seen"]) - set(state["queue"]))
+            return state
+
+        def latest_frontier() -> dict:
+            record = load_latest(directory / CHECKPOINTS_DIR, registry=Registry())
+            return record.snapshot["frontier"]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(BFSFrontier, "export_state", legacy_export_state)
+            with pytest.raises(SimulatedCrash):
+                CrawlCampaign(directory, CONFIG).run(
+                    registry=Registry(), crash_after_pages=90
+                )
+        assert len(latest_frontier()["visited"]) == 90
+        resumed = CrawlCampaign(directory)
+        dataset = resumed.run(registry=Registry())
+        assert dataset_diff(dataset, reference) == []
+        assert resumed.status == "complete"
+        assert "visited" not in latest_frontier()
 
     def test_recovery_metrics(self, tmp_path, reference):
         directory = tmp_path / "camp"

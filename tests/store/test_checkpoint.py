@@ -94,7 +94,7 @@ class TestCorruption:
 
 class TestRebuilders:
     def test_frontier_from_state(self):
-        state = {"queue": [5, 6], "seen": [1, 2, 5, 6], "visited": [1, 2]}
+        state = {"queue": [5, 6], "seen": [1, 2, 5, 6]}
         frontier = frontier_from_state(state)
         assert frontier.export_state() == state
         assert frontier.pop() == 5
@@ -103,7 +103,7 @@ class TestRebuilders:
         snapshot = {
             "started": 10.0,
             "virtual_now": 110.0,
-            "frontier": {"queue": [], "seen": [1, 2, 3], "visited": [1, 2, 3]},
+            "frontier": {"queue": [], "seen": [1, 2, 3]},
             "pool": {
                 "next": 0,
                 "fetchers": [
